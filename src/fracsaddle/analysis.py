@@ -2,7 +2,7 @@
 sign, and the energy comparison table for the saddle existence chain."""
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -163,28 +163,21 @@ def _snap_to_lattice(grid, x_k):
 def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = None):
     """Solve the symmetric minimization for `group` on base's grid/params.
 
-    Results are memoized in `cache` (keyed by group fingerprint, grid,
-    params, tolerance) so a table run and its breakup candidates share
-    solves; pass the same dict across calls to reuse them.
+    Results are memoized in `cache` (keyed by group fingerprint and every
+    config field the solve reads: grid, params, tol, max_iters, step, R) so
+    a table run and its breakup candidates share solves; pass the same dict
+    across calls to reuse them.
     """
     if cache is None:
         cache = {}
-    key = (group.fingerprint(), base.grid, base.params, base.tol)
+    cfg = replace(base, group=group)
+    key = (group.fingerprint(), cfg.grid, cfg.params, cfg.tol, cfg.max_iters, cfg.step, cfg.R)
     if key in cache:
         return cache[key]
-    cfg = SolverConfig(
-        params=base.params,
-        grid=base.grid,
-        group=group,
-        max_iters=base.max_iters,
-        tol=base.tol,
-        step=base.step,
-        seed=base.seed,
-    )
     if group.is_trivial():
-        u0 = init_groundstate(base.grid, base.params)
+        u0 = init_groundstate(cfg.grid, cfg.params)
     else:
-        u0 = init_saddle(base.grid, group, base.params)
+        u0 = init_saddle(cfg.grid, group, cfg.params, R=cfg.R)
     sol = solve(cfg, u0)
     cache[key] = sol
     return sol

@@ -93,6 +93,7 @@ def _solver_config(cfg, group) -> SolverConfig:
         tol=float(sv["tol"]),
         step=float(sv["step"]),
         seed=int(sv["seed"]),
+        R=sv["R"],
     )
 
 

@@ -39,6 +39,7 @@ class SolverConfig:
     tol: float = 1e-6
     step: float = 1.0
     seed: int = 0
+    R: float | None = None  # saddle bump scale; None picks default_saddle_radius
 
     def __post_init__(self):
         if self.tol <= 0:

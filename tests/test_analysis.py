@@ -130,6 +130,18 @@ def test_solve_level_caches():
     assert len(cache) == 1
 
 
+def test_solve_level_cache_keys_on_max_iters():
+    g = Grid(3, 12, 8.0)
+    G = named_group("trivial")
+    cache = {}
+    capped = solve_level(G, SolverConfig(params=PARAMS, grid=g, group=G, tol=1e-4, max_iters=1), cache)
+    full = solve_level(G, SolverConfig(params=PARAMS, grid=g, group=G, tol=1e-4), cache)
+    assert capped.iterations == 1 and not capped.converged
+    assert full is not capped
+    assert full.converged and full.iterations > 1
+    assert len(cache) == 2
+
+
 def test_energy_table_small(tmp_path):
     g = Grid(3, 16, 10.0)
     configs = [

@@ -200,6 +200,19 @@ def test_cli_table(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_cli_table_honours_saddle_radius(tmp_path, capsys):
+    # R = L/3 is outside (0, L/4): table must refuse it exactly as saddle does
+    cfg = base_config(tmp_path / "run", group={"name": ["A1"]})
+    cfg["solver"]["R"] = cfg["grid"]["L"] / 3.0
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main(["table", "--config", path]) == 1
+    assert "R must lie in" in capsys.readouterr().err
+    cfg["group"] = {"name": "A1"}
+    path = write_json(tmp_path / "s.json", cfg)
+    assert main(["saddle", "--config", path]) == 1
+    assert "R must lie in" in capsys.readouterr().err
+
+
 def test_cli_error_exits(tmp_path, capsys):
     # missing file
     assert main(["info", "--config", str(tmp_path / "nope.json")]) == 1

@@ -20,10 +20,17 @@ from fracsaddle.spectral import (
     set_threads,
 )
 
-# Origin-cell averages of |x|^{alpha-N} over the unit cell, frozen from
-# adaptive quadrature with a midpoint-refinement cross-check.  The 1-D and
-# 2-D values also have closed forms: 2 (1/2)^a / a and 4 ln(1 + sqrt 2).
-CELL_MEAN_3D_ALPHA2 = 2.380077363980
+# Origin-cell averages of |x|^{alpha-N} over the unit cell in 3-D, computed
+# independently of the face-integral rule: by adaptive volume quadrature
+# (scipy nquad after a t^m substitution) with a midpoint-refinement
+# cross-check.  The 1-D and 2-D values have closed forms instead:
+# 2 (1/2)^a / a and 4 ln(1 + sqrt 2).
+CELL_MEAN_3D = {
+    0.5: 19.602646339577046,
+    1.0: 7.6741242224437345,
+    2.0: 2.380077363980,
+    2.5: 1.5085612293494586,
+}
 
 
 def small_grid(N=3, M=8, L=4.0):
@@ -119,11 +126,12 @@ def test_origin_cell_closed_forms():
     # 1-D: mean of |y|^{a-1} over [-1/2, 1/2] is 2 (1/2)^a / a
     for a in (0.3, 0.5, 0.9):
         want = 2.0 * 0.5**a / a
-        assert origin_cell_average(1, a, 1.0) == pytest.approx(want, rel=1e-8)
+        assert origin_cell_average(1, a, 1.0) == pytest.approx(want, rel=1e-12)
     # 2-D, alpha = 1: 4 ln(1 + sqrt 2)
-    assert origin_cell_average(2, 1.0, 1.0) == pytest.approx(4.0 * math.log(1.0 + math.sqrt(2.0)), rel=1e-8)
-    # 3-D, alpha = 2: frozen quadrature value
-    assert origin_cell_average(3, 2.0, 1.0) == pytest.approx(CELL_MEAN_3D_ALPHA2, rel=1e-8)
+    assert origin_cell_average(2, 1.0, 1.0) == pytest.approx(4.0 * math.log(1.0 + math.sqrt(2.0)), rel=1e-12)
+    # 3-D: reference volume-quadrature values
+    for a, want in CELL_MEAN_3D.items():
+        assert origin_cell_average(3, a, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_origin_cell_scaling():
