@@ -29,8 +29,6 @@ from .coxeter import (
     CoxeterGroup,
     generate_group,
     named_group,
-    orbit,
-    stabilizer,
 )
 from .energy import EnergyBreakdown, energy, gradient, interaction, nehari_energy, nehari_scale
 from .extension import (
@@ -113,7 +111,6 @@ __all__ = [
     "nehari_energy",
     "nehari_scale",
     "nodal_domains",
-    "orbit",
     "psi_ode_solution",
     "psi_profile",
     "read_field",
@@ -125,7 +122,6 @@ __all__ = [
     "sign_on_fundamental_domain",
     "solve",
     "solve_level",
-    "stabilizer",
     "symmetrize",
     "trace_inequality_check",
     "write_field",

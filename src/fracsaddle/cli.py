@@ -47,17 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "of a nonlocal Choquard equation on a periodic box.",
     )
     ap.add_argument("--threads", type=int, default=1, help="transform worker count")
-    ap.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force single-threaded transforms for bit-reproducible runs",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     def with_config(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--seed", type=int, default=None, help="override solver seed")
         return p
 
     with_config(sub.add_parser("groundstate", help="minimize without symmetry"))
@@ -68,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--window", type=float, nargs=2, default=(0.2, 0.4),
                     metavar=("RMIN", "RMAX"), help="fit window as fractions of L")
     dp.add_argument("--out", default=None, help="write a JSON report here")
-    with_config(sub.add_parser("extension-check", help="energy identity sweep over s"))
+    ep = with_config(sub.add_parser("extension-check", help="energy identity sweep over s"))
+    ep.add_argument("--seed", type=int, default=None, help="override solver.seed (test field)")
     ip = sub.add_parser("info", help="print the analytic constants for a problem")
     ip.add_argument("--config", required=True)
     return ap
@@ -76,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _prepare(args, allow_s_list=False):
     cfg = load_config(args.config, allow_s_list=allow_s_list)
-    if args.seed is not None:
-        cfg["solver"]["seed"] = int(args.seed)
     if args.out is not None:
         cfg["output"]["dir"] = args.out
     return cfg
@@ -92,7 +85,6 @@ def _solver_config(cfg, group) -> SolverConfig:
         max_iters=int(sv["max_iters"]),
         tol=float(sv["tol"]),
         step=float(sv["step"]),
-        seed=int(sv["seed"]),
         R=sv["R"],
     )
 
@@ -181,7 +173,8 @@ def cmd_extension_check(args) -> int:
     svals = prob["s"] if isinstance(prob["s"], list) else [prob["s"]]
     grid = cfg["grid"]
     J = 256
-    rng = np.random.default_rng(int(cfg["solver"]["seed"]))
+    seed = cfg["solver"]["seed"] if args.seed is None else args.seed
+    rng = np.random.default_rng(int(seed))
     noise = rng.standard_normal(grid.shape)
     smooth = spectral.ifftn(spectral.fftn(noise) * np.exp(-0.5 * grid.freq_norm_sq())).real
     u = spectral.Field(grid, smooth)
@@ -225,7 +218,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    spectral.set_threads(1 if args.deterministic else max(1, args.threads))
+    spectral.set_threads(args.threads)
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, ValueError) as exc:

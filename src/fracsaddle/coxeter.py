@@ -200,10 +200,6 @@ class CoxeterGroup:
             raise ValueError("element not in group")
         return self._index[kb]
 
-    def sign_character(self, g) -> int:
-        """phi(g) = det(g) for g in the group; raises if g is not a member."""
-        return int(self.signs[self.index_of(g)])
-
     def reflections(self):
         """All reflections contained in the group."""
         return [g for g in self.elements if is_reflection(g)]
@@ -327,26 +323,3 @@ def generate_group(generators, name=None) -> CoxeterGroup:
     """Breadth-first closure of reflection generators into a CoxeterGroup."""
     return CoxeterGroup(generators, name=name)
 
-
-def sign_character(G: CoxeterGroup, g) -> int:
-    return G.sign_character(g)
-
-
-def orbit(G: CoxeterGroup, x) -> np.ndarray:
-    return G.orbit(x)
-
-
-def stabilizer(G: CoxeterGroup, x) -> CoxeterGroup:
-    return G.stabilizer(x)
-
-
-def in_fundamental_domain(C: Chamber, x) -> bool:
-    """True iff x lies in the closed chamber."""
-    return C.contains(x)
-
-
-def facet_dimension(C: Chamber, x) -> int:
-    """Dimension k minus the number of active walls at x (must be in the chamber)."""
-    if not C.contains(x):
-        raise ValueError("point outside the fundamental domain")
-    return C.dim - len(C.active_walls(x))

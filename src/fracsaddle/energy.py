@@ -1,11 +1,19 @@
-"""Action functional, L^2 gradient, and Nehari-ray algebra."""
+"""Action functional, L^2 gradient, and Nehari-ray algebra.
+
+Everything here derives from one evaluation of a field u, `_evaluate`: its
+transform u_hat, K_alpha * |u|^p, Q = ||u||^2_{H^s} and D(u) = integral of
+(K_alpha * |u|^p)|u|^p.  The energy, gradient, Nehari scale and Nehari
+energy are formulas in these four; the evaluation of t u is a rescale of
+that of u.  The public functions and `solver.solve` share this one path.
+"""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .params import ModelParams
-from .spectral import Field, fractional_laplacian, hs_norm_sq, riesz_convolve
+from .spectral import Field, Grid, fftn, ifftn, multiplier, riesz_convolve
 
 
 @dataclass(frozen=True)
@@ -21,48 +29,90 @@ class EnergyBreakdown:
     total: float
 
 
+class _Evaluation(NamedTuple):
+    """u_hat, K_alpha * |u|^p, Q = ||u||^2_{H^s} and D(u) for one field."""
+
+    uhat: np.ndarray
+    conv: np.ndarray
+    Q: float
+    D: float
+
+    def scaled(self, t: float, p: float) -> "_Evaluation":
+        """The evaluation of t u, by homogeneity."""
+        return _Evaluation(t * self.uhat, t**p * self.conv, t**2 * self.Q, t ** (2.0 * p) * self.D)
+
+
+def _evaluate(values: np.ndarray, grid: Grid, params: ModelParams, mult: np.ndarray) -> _Evaluation:
+    """One FFT and one padded convolution; mult is the symbol |xi|^{2s}."""
+    uhat = fftn(values)
+    Q = grid.cellvol / grid.n_nodes * float(np.sum((1.0 + mult) * (uhat.real**2 + uhat.imag**2)))
+    up = np.abs(values) ** params.p
+    conv = riesz_convolve(Field(grid, up), params.alpha).values
+    D = float(grid.cellvol * np.sum(conv * up))
+    return _Evaluation(uhat, conv, Q, D)
+
+
+def _gradient(values: np.ndarray, ev: _Evaluation, mult: np.ndarray, p: float) -> np.ndarray:
+    """(-Delta)^s u + u - (K_alpha * |u|^p)|u|^{p-2} u from an evaluation of u."""
+    if p == 2.0:
+        force = ev.conv * values
+    else:
+        force = ev.conv * np.sign(values) * np.abs(values) ** (p - 1.0)
+    return ifftn(mult * ev.uhat).real + values - force
+
+
+def _action(Q, D, p: float):
+    """I(u) = Q/2 - D/(2p); Q and D may be arrays of ray samples."""
+    return 0.5 * Q - D / (2.0 * p)
+
+
+def _nehari_factor(Q: float, D: float, p: float) -> float:
+    """The t > 0 with <I'(tu), tu> = 0: (Q / D)^{1/(2p-2)}."""
+    return (Q / D) ** (1.0 / (2.0 * p - 2.0))
+
+
+def _nehari_value(Q: float, D: float, p: float) -> float:
+    """I at the Nehari crossing of the ray: (1/2 - 1/2p) Q^{p/(p-1)} / D^{1/(p-1)}."""
+    return (0.5 - 0.5 / p) * Q ** (p / (p - 1.0)) / D ** (1.0 / (p - 1.0))
+
+
+def _evaluate_field(u: Field, params: ModelParams):
+    """The evaluation of a Field and the symbol it used; needs s in (0, 1]."""
+    if not 0.0 < params.s <= 1.0:
+        raise ValueError(f"s must lie in (0, 1]; got {params.s}")
+    mult = multiplier(u.grid, params.s)
+    return _evaluate(u.values, u.grid, params, mult), mult
+
+
 def interaction(u: Field, params: ModelParams) -> float:
     """D(u) = integral of (K_alpha * |u|^p) |u|^p."""
-    up = np.abs(u.values) ** params.p
-    conv = riesz_convolve(Field(u.grid, up), params.alpha)
-    return float(u.grid.cellvol * np.sum(conv.values * up))
+    return _evaluate_field(u, params)[0].D
 
 
 def energy(u: Field, params: ModelParams) -> EnergyBreakdown:
     """I(u) = (1/2)||u||_{H^s}^2 - (1/2p) D(u)."""
-    quad = 0.5 * hs_norm_sq(u, params.s)
-    nl = interaction(u, params)
-    return EnergyBreakdown(quad, nl, quad - nl / (2.0 * params.p))
+    ev, _ = _evaluate_field(u, params)
+    return EnergyBreakdown(0.5 * ev.Q, ev.D, _action(ev.Q, ev.D, params.p))
 
 
 def gradient(u: Field, params: ModelParams) -> Field:
     """L^2 gradient (-Delta)^s u + u - (K_alpha * |u|^p)|u|^{p-2} u."""
-    p = params.p
-    up = np.abs(u.values) ** p
-    conv = riesz_convolve(Field(u.grid, up), params.alpha)
-    if p == 2.0:
-        force = conv.values * u.values
-    else:
-        force = conv.values * np.sign(u.values) * np.abs(u.values) ** (p - 1.0)
-    lap = fractional_laplacian(u, params.s)
-    return Field(u.grid, lap.values + u.values - force)
+    ev, mult = _evaluate_field(u, params)
+    return Field(u.grid, _gradient(u.values, ev, mult, params.p))
 
 
 def nehari_scale(u: Field, params: ModelParams) -> float:
     """The t > 0 with <I'(tu), tu> = 0, i.e. (||u||^2 / D(u))^{1/(2p-2)}."""
-    Q = hs_norm_sq(u, params.s)
-    D = interaction(u, params)
-    if D <= 0.0:
+    ev, _ = _evaluate_field(u, params)
+    if ev.D <= 0.0:
         raise ValueError("nehari_scale needs interaction(u) > 0")
-    return (Q / D) ** (1.0 / (2.0 * params.p - 2.0))
+    return _nehari_factor(ev.Q, ev.D, params.p)
 
 
 def nehari_energy(u: Field, params: ModelParams) -> float:
     """Energy at the Nehari crossing of the ray through u, in closed form:
     (1/2 - 1/2p) ||u||^{2p/(p-1)} / D(u)^{1/(p-1)}."""
-    Q = hs_norm_sq(u, params.s)
-    D = interaction(u, params)
-    if D <= 0.0:
+    ev, _ = _evaluate_field(u, params)
+    if ev.D <= 0.0:
         raise ValueError("nehari_energy needs interaction(u) > 0")
-    p = params.p
-    return (0.5 - 0.5 / p) * Q ** (p / (p - 1.0)) / D ** (1.0 / (p - 1.0))
+    return _nehari_value(ev.Q, ev.D, params.p)

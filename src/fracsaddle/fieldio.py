@@ -19,11 +19,11 @@ _CONFIG_KEYS = {
     "grid": {"M", "L"},
     "group": {"name", "generators"},
     "solver": {"tol", "max_iters", "step", "seed", "R"},
-    "output": {"dir", "formats"},
+    "output": {"dir"},
 }
 
 _SOLVER_DEFAULTS = {"tol": 1e-6, "max_iters": 2000, "step": 1.0, "seed": 0, "R": None}
-_OUTPUT_DEFAULTS = {"dir": "out", "formats": ["f64", "json"]}
+_OUTPUT_DEFAULTS = {"dir": "out"}
 
 
 class ConfigError(ValueError):

@@ -12,12 +12,6 @@ and the closed-form constants that the rest of the package consumes.
 import math
 from dataclasses import dataclass
 
-# Normalization constant relating the squared spectral seminorm to the
-# plain Gagliardo double integral; fixed to 2 so that
-# ||(-Delta)^{s/2} u||_{L^2} equals the (normalized) Gagliardo seminorm.
-GAGLIARDO_NORMALIZATION = 2.0
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """The problem quadruple (N, s, alpha, p).
@@ -36,11 +30,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Constants:
-    """Derived constants: Riesz normalization, extension constant, seminorm normalization."""
+    """Derived constants: Riesz normalization and extension constant."""
 
     A_alpha: float
     k_s: float
-    C_Ns: float
 
 
 def admissible(params: ModelParams) -> bool:
@@ -97,5 +90,4 @@ def constants_for(params: ModelParams) -> Constants:
     return Constants(
         A_alpha=riesz_constant(params.N, params.alpha),
         k_s=extension_constant(params.s),
-        C_Ns=GAGLIARDO_NORMALIZATION,
     )

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coxeter import CoxeterGroup
-from .energy import energy as energy_of
-from .params import ModelParams
+from .energy import _action, _evaluate, _gradient, _nehari_factor, _nehari_value
+from .energy import energy as energy_of, nehari_scale
+from .params import ModelParams, admissible
 from .spectral import Field, Grid, fftn, ifftn, multiplier
 
 _ZERO_TOL = 1e-10
@@ -38,10 +39,11 @@ class SolverConfig:
     max_iters: int = 2000
     tol: float = 1e-6
     step: float = 1.0
-    seed: int = 0
     R: float | None = None  # saddle bump scale; None picks default_saddle_radius
 
     def __post_init__(self):
+        if not admissible(self.params):
+            raise ValueError(f"inadmissible problem parameters {self.params}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
@@ -89,14 +91,6 @@ def _index_table(grid: Grid, m: np.ndarray) -> np.ndarray:
         else:
             src[r] = (M - idx[c]) % M
     return np.ravel_multi_index(tuple(src), grid.shape).ravel()
-
-
-def group_transform(u: Field, m) -> Field:
-    """The action (m . u)(x) = u(m^{-1} x), by index permutation."""
-    m = np.asarray(m, dtype=np.int64)
-    minv = m.T  # orthogonal integer matrix
-    table = _index_table(u.grid, _embed(minv, u.grid.N_dims))
-    return Field(u.grid, u.values.ravel()[table].reshape(u.grid.shape))
 
 
 class GroupAction:
@@ -174,10 +168,7 @@ def symmetrize(u: Field, G: CoxeterGroup) -> Field:
 # ---------------------------------------------------------------------------
 
 def _nehari_project(u: Field, params: ModelParams) -> Field:
-    from .energy import nehari_scale
-
-    t = nehari_scale(u, params)
-    return Field(u.grid, t * u.values)
+    return Field(u.grid, nehari_scale(u, params) * u.values)
 
 
 def init_groundstate(grid: Grid, params: ModelParams) -> Field:
@@ -211,17 +202,13 @@ def init_saddle(
     G: CoxeterGroup,
     params: ModelParams,
     R: float | None = None,
-    profile=None,
 ) -> Field:
     """Signed bump arrangement in the saddle class, Nehari-projected.
 
-    Takes a unit direction q through the chamber interior, places a copy of
-    the profile at each point of the orbit of l_G R q with sign phi(g), then
+    Takes a unit direction q through the chamber interior, places a Gaussian
+    of width R/2 at each point of the orbit of l_G R q with sign phi(g), then
     symmetrizes exactly and scales onto the Nehari set.  The rank-1 case
     reduces to two opposite bumps at +-3R along the wall normal.
-
-    profile: callable r2 -> amplitude on squared distance; default Gaussian
-    of width R/2.
     """
     if G.is_trivial():
         raise ValueError("saddle initializer needs a nontrivial group")
@@ -235,12 +222,6 @@ def init_saddle(
             f"placement radius {ell * R:.3f} exceeds L/2 - 3R = "
             f"{grid.L / 2.0 - 3.0 * R:.3f}; shrink R"
         )
-    if profile is None:
-        w = R / 2.0
-
-        def profile(r2):
-            return np.exp(-r2 / w**2)
-
     C = G.chamber()
     q = C.interior_point()
     q = q / np.linalg.norm(q)
@@ -248,7 +229,7 @@ def init_saddle(
     rng = np.random.default_rng(12345)
     radius = ell * R
     for _attempt in range(6):
-        vals = _place_signed_bumps(grid, G, q, radius, profile)
+        vals = _place_signed_bumps(grid, G, q, radius, R / 2.0)
         sym = symmetrize(Field(grid, vals), G)
         norm = np.sqrt(float(grid.cellvol * np.sum(sym.values**2)))
         if norm > _ZERO_TOL:
@@ -257,7 +238,7 @@ def init_saddle(
     raise CollapseToZero("signed bump arrangement symmetrized to zero")
 
 
-def _place_signed_bumps(grid, G, q, radius, profile):
+def _place_signed_bumps(grid, G, q, radius, width):
     N = grid.N_dims
     centers = np.zeros((G.order, N))
     for i, g in enumerate(G.elements):
@@ -271,7 +252,7 @@ def _place_signed_bumps(grid, G, q, radius, profile):
             d = coords[ax] - centers[i, ax]
             d = np.mod(d + L / 2.0, L) - L / 2.0
             r2 = r2 + d**2
-        vals += float(G.signs[i]) * profile(r2)
+        vals += float(G.signs[i]) * np.exp(-r2 / width**2)
     return vals
 
 
@@ -290,54 +271,31 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     """
     t_start = time.perf_counter()
     params, grid = config.params, config.grid
-    p, s = params.p, params.s
+    p = params.p
     action = None if config.group.is_trivial() else get_action(grid, config.group)
 
     def project(vals):
         return vals if action is None else action.project(vals)
 
-    from .energy import interaction
-    from .spectral import riesz_convolve
-
-    mult = multiplier(grid, s)
+    mult = multiplier(grid, params.s)
     precond = 1.0 / (1.0 + mult)
-    pw = grid.cellvol / grid.n_nodes  # Parseval weight
-
-    def transforms_of(vals):
-        """u_hat, convolution, H^s norm^2, interaction for one candidate."""
-        vhat = fftn(vals)
-        Q = pw * float(np.sum((1.0 + mult) * (vhat.real**2 + vhat.imag**2)))
-        vp = np.abs(vals) ** p
-        conv = riesz_convolve(Field(grid, vp), params.alpha).values
-        D = float(grid.cellvol * np.sum(conv * vp))
-        return vhat, conv, Q, D
-
-    def nehari_value(Q, D):
-        return (0.5 - 0.5 / p) * Q ** (p / (p - 1.0)) / D ** (1.0 / (p - 1.0))
 
     u = project(initial.values)
     norm = np.sqrt(float(grid.cellvol * np.sum(u**2)))
     if norm < _ZERO_TOL:
         raise CollapseToZero("initial field symmetrized to zero")
-    uhat, conv, Q, D = transforms_of(u)
-    if D <= 0.0:
+    ev = _evaluate(u, grid, params, mult)
+    if ev.D <= 0.0:
         raise ValueError("initial field has no interaction mass")
-    t = (Q / D) ** (1.0 / (2.0 * p - 2.0))
-    u, uhat, conv = t * u, t * uhat, t**p * conv
-    Q, D = t**2 * Q, t ** (2.0 * p) * D
-    E = nehari_value(Q, D)
+    t = _nehari_factor(ev.Q, ev.D, p)
+    u, ev = t * u, ev.scaled(t, p)
+    E = _nehari_value(ev.Q, ev.D, p)
 
     residual = np.inf
     iters = 0
     stalled = False
     for iters in range(1, config.max_iters + 1):
-        # L^2 gradient from cached transforms
-        lap = ifftn(mult * uhat).real
-        if p == 2.0:
-            force = conv * u
-        else:
-            force = conv * np.sign(u) * np.abs(u) ** (p - 1.0)
-        g = lap + u - force
+        g = _gradient(u, ev, mult, p)
         gu = float(np.sum(g * u))
         uu = float(np.sum(u * u))
         r = g - (gu / uu) * u
@@ -353,16 +311,12 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
             cn = float(np.sum(cand**2))
             if cn * grid.cellvol < _ZERO_TOL**2:
                 raise CollapseToZero("iterate symmetrized to zero")
-            chat, cconv, cQ, cD = transforms_of(cand)
-            if cD > 0.0:
-                cE = nehari_value(cQ, cD)
+            cev = _evaluate(cand, grid, params, mult)
+            if cev.D > 0.0:
+                cE = _nehari_value(cev.Q, cev.D, p)
                 if cE < E:
-                    tt = (cQ / cD) ** (1.0 / (2.0 * p - 2.0))
-                    u = tt * cand
-                    uhat = tt * chat
-                    conv = tt**p * cconv
-                    Q, D = tt**2 * cQ, tt ** (2.0 * p) * cD
-                    E = cE
+                    tt = _nehari_factor(cev.Q, cev.D, p)
+                    u, ev, E = tt * cand, cev.scaled(tt, p), cE
                     accepted = True
                     break
             tau *= 0.5
@@ -371,9 +325,8 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
             break
 
     field_u = Field(grid, u)
-    bre = energy_of(field_u, params)
-
     from . import analysis
+
 
     try:
         nodal = analysis.nodal_domains(field_u, 1e-3).count
@@ -391,7 +344,6 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         "group": {"name": config.group.name, "order": config.group.order},
         "tol": config.tol,
         "step": config.step,
-        "seed": config.seed,
         "max_iters": config.max_iters,
         "stalled": stalled,
         "time_seconds": elapsed,
@@ -399,7 +351,7 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     }
     return Solution(
         u=field_u,
-        energy=bre.total,
+        energy=_action(ev.Q, ev.D, p),
         residual=residual,
         iterations=iters,
         nodal_count=nodal,
@@ -417,7 +369,6 @@ def mountain_pass_check(sol: Solution, params: ModelParams) -> float:
     Nehari-projected solution.
     """
     bre = energy_of(sol.u, params)
-    Q2, D = 2.0 * bre.quad, bre.nonlocal_
     ts = np.linspace(0.0, 2.0, 101)
-    vals = ts**2 * (Q2 / 2.0) - ts ** (2.0 * params.p) * (D / (2.0 * params.p))
-    return float(vals.max())
+    ray = _action(ts**2 * (2.0 * bre.quad), ts ** (2.0 * params.p) * bre.nonlocal_, params.p)
+    return float(ray.max())

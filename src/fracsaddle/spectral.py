@@ -28,7 +28,7 @@ _WORKERS = 1
 
 
 def set_threads(n: int) -> None:
-    """Set the worker count used by all transforms (1 = deterministic)."""
+    """Set the worker count used by all transforms."""
     global _WORKERS
     _WORKERS = max(1, int(n))
 
@@ -217,41 +217,28 @@ def build_riesz_kernel(grid: Grid, alpha: float) -> Field:
     return Field(big, vals)
 
 
-def _kernel_multiplier(kernel: Field) -> np.ndarray:
-    """rfftn of the wrap-ordered doubled-grid kernel, as a float64 array.
+def _kernel_transform(grid: Grid, alpha: float) -> np.ndarray:
+    """Cached rfftn of the wrap-ordered doubled-grid kernel for (grid, alpha).
 
     The kernel is even, so its transform is real; the imaginary part is
     rounding (about 1e-17 relative) and is dropped.
     """
-    khat = sfft.rfftn(sfft.ifftshift(kernel.values), workers=_WORKERS)
-    return np.ascontiguousarray(khat.real)
-
-
-def _kernel_transform(grid: Grid, alpha: float) -> np.ndarray:
-    """Cached kernel multiplier for (grid, alpha); see _kernel_multiplier."""
     key = (grid, round(alpha, 12))
     if key not in _kernel_cache:
-        _kernel_cache[key] = _kernel_multiplier(build_riesz_kernel(grid, alpha))
+        kernel = build_riesz_kernel(grid, alpha)
+        khat = sfft.rfftn(sfft.ifftshift(kernel.values), workers=_WORKERS)
+        _kernel_cache[key] = np.ascontiguousarray(khat.real)
     return _kernel_cache[key]
 
 
-def riesz_convolve(f: Field, alpha: float, kernel: Field | None = None) -> Field:
+def riesz_convolve(f: Field, alpha: float) -> Field:
     """Linear convolution K_alpha * f on the original grid.
 
     Zero-pads f onto the doubled grid, multiplies transforms, crops back and
-    scales by the cell volume.  If `kernel` is given it must be the doubled
-    grid sample from build_riesz_kernel for this grid.
+    scales by the cell volume.
     """
     grid = f.grid
-    if kernel is None:
-        khat = _kernel_transform(grid, alpha)
-    else:
-        if kernel.grid.shape != grid.doubled().shape:
-            raise ValueError(
-                f"kernel shape {kernel.grid.shape} does not match doubled grid "
-                f"{grid.doubled().shape}"
-            )
-        khat = _kernel_multiplier(kernel)
+    khat = _kernel_transform(grid, alpha)
     big_shape = grid.doubled().shape
     pad = np.zeros(big_shape)
     pad[tuple(slice(0, grid.M) for _ in range(grid.N_dims))] = f.values

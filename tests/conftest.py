@@ -29,7 +29,6 @@ def base_config(grid, group):
         group=group,
         max_iters=2000,
         tol=1e-6,
-        seed=0,
     )
 
 

@@ -160,7 +160,7 @@ def test_cli_saddle_run(tmp_path):
     cfg = base_config(outdir, group={"name": "A1"})
     cfg["grid"] = {"M": 16, "L": 10.0}
     path = write_json(tmp_path / "c.json", cfg)
-    assert main(["--deterministic", "saddle", "--config", path]) == 0
+    assert main(["saddle", "--config", path]) == 0
     report = json.loads((outdir / "A1_report.json").read_text())
     assert report["nodal_report"]["count"] == 2
     assert report["constant_sign_on_chamber"] is True
@@ -231,12 +231,26 @@ def test_cli_error_exits(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_seed_and_out_overrides(tmp_path):
+def test_cli_out_override(tmp_path):
     outdir = tmp_path / "a"
-    cfg = base_config(outdir)
-    path = write_json(tmp_path / "c.json", cfg)
+    path = write_json(tmp_path / "c.json", base_config(outdir))
     other = tmp_path / "b"
-    assert main(["groundstate", "--config", path, "--out", str(other), "--seed", "7"]) == 0
-    report = json.loads((other / "trivial_report.json").read_text())
-    assert report["config"]["solver"]["seed"] == 7
+    assert main(["groundstate", "--config", path, "--out", str(other)]) == 0
+    assert (other / "trivial_report.json").exists()
     assert not outdir.exists()
+
+
+def test_cli_seed_override_is_extension_check_only(tmp_path, capsys):
+    cfg = base_config(tmp_path / "run")
+    cfg["problem"]["s"] = [0.5]
+    path = write_json(tmp_path / "c.json", cfg)
+
+    def lhs(*flags):
+        assert main(["extension-check", "--config", path, *flags]) == 0
+        rows = (tmp_path / "run" / "extension_check.csv").read_text().splitlines()
+        return float(rows[1].split(",")[2])
+
+    assert lhs("--seed", "7") != lhs()
+    with pytest.raises(SystemExit):
+        main(["groundstate", "--config", path, "--seed", "7"])
+    capsys.readouterr()

@@ -72,4 +72,3 @@ def test_constants_bundle():
     assert isinstance(c, Constants)
     assert c.A_alpha == pytest.approx(riesz_constant(3, 2.0))
     assert c.k_s == pytest.approx(extension_constant(0.5))
-    assert c.C_Ns > 0.0

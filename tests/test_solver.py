@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from fracsaddle.coxeter import named_group
+from fracsaddle.coxeter import generate_group, named_group
 from fracsaddle.energy import energy, interaction, nehari_energy
 from fracsaddle.params import ModelParams
 from fracsaddle.solver import (
     CollapseToZero,
+    GroupAction,
     SolverConfig,
     default_saddle_radius,
     get_action,
-    group_transform,
     init_groundstate,
     init_saddle,
     mountain_pass_check,
@@ -23,21 +23,21 @@ PARAMS = ModelParams(3, 0.5, 2.0, 2.0)
 GROUPS = ["A1", "A1xA1", "A2", "B2", "B3"]
 
 
-def test_group_transform_flip_1d():
-    g = Grid(1, 8, 4.0)
-    vals = np.arange(8.0)
-    out = group_transform(Field(g, vals), np.array([[-1]]))
+def test_action_table_flip_1d():
+    G = named_group("A1")
+    action = GroupAction(Grid(1, 8, 4.0), G)
     # node x_k = -2 + k/2 maps to index (8 - k) % 8 under x -> -x
-    want = vals[(8 - np.arange(8)) % 8]
-    assert np.array_equal(out.values, want)
+    row = action.tables[G.index_of(np.array([[-1]]))]
+    assert np.array_equal(row, (8 - np.arange(8)) % 8)
 
 
-def test_group_transform_swap_2d(rng):
+def test_action_table_swap_2d(rng):
     g = Grid(2, 8, 4.0)
     vals = rng.standard_normal(g.shape)
     swap = np.array([[0, 1], [1, 0]])
-    out = group_transform(Field(g, vals), swap)
-    assert np.array_equal(out.values, vals.T)
+    G = generate_group([swap])
+    row = GroupAction(g, G).tables[G.index_of(swap)]
+    assert np.array_equal(vals.ravel()[row].reshape(g.shape), vals.T)
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -165,6 +165,9 @@ def test_solver_config_validation():
         SolverConfig(params=PARAMS, grid=g, group=G, max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(params=PARAMS, grid=Grid(2, 8, 4.0), group=named_group("B3"))
+    # p = 2 is the upper critical exponent (N + alpha)/(N - 2s) here
+    with pytest.raises(ValueError):
+        SolverConfig(params=ModelParams(3, 0.5, 1.0, 2.0), grid=g, group=G)
 
 
 def test_solve_groundstate_smoke():

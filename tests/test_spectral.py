@@ -227,13 +227,6 @@ def test_convolution_shift_equivariance():
     assert err <= 1e-6
 
 
-def test_convolution_kernel_mismatch():
-    g = small_grid()
-    wrong = build_riesz_kernel(Grid(3, 12, 4.0), 2.0)
-    with pytest.raises(ValueError):
-        riesz_convolve(Field(g, np.ones(g.shape)), 2.0, kernel=wrong)
-
-
 def test_gagliardo_matches_spectral_seminorm():
     # single-mode field on a 16^2 grid; the double-sum route should land on
     # the spectral value once the periodization tail is accounted for
