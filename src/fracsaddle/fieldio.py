@@ -133,7 +133,11 @@ def group_name_list(group_spec: dict):
 
 
 def resolved_config_dict(params, grid, group, solver: dict, output: dict) -> dict:
-    """Full defaulted config echo so a run is reproducible from its report."""
+    """Full defaulted config echo so a solve is reproducible from its report.
+
+    solver.seed is left out: it draws extension-check's test field, and no
+    solve reads it.
+    """
     return {
         "problem": {
             "N": params.N,
@@ -144,7 +148,7 @@ def resolved_config_dict(params, grid, group, solver: dict, output: dict) -> dic
         },
         "grid": {"M": grid.M, "L": grid.L},
         "group": {"name": group.name or "custom", "order": group.order},
-        "solver": solver,
+        "solver": {k: v for k, v in solver.items() if k != "seed"},
         "output": output,
     }
 

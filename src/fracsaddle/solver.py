@@ -25,6 +25,7 @@ from .params import ModelParams, admissible
 from .spectral import Field, Grid, fftn, ifftn, multiplier
 
 _ZERO_TOL = 1e-10
+_DEPTH = 5  # Anderson history: 3, 5 and 10 all converge under the energy safeguard
 
 
 class CollapseToZero(Exception):
@@ -263,11 +264,23 @@ def _place_signed_bumps(grid, G, q, radius, width):
 def solve(config: SolverConfig, initial: Field) -> Solution:
     """Minimize the energy over the Nehari set of the symmetric class.
 
-    Preconditioned projected gradient descent: symmetrize, step against the
-    (1 + |xi|^{2s})^{-1}-smoothed gradient, re-symmetrize, rescale onto the
-    Nehari set, and accept by simple decrease of the closed-form Nehari
-    energy with up to 30 step halvings.  Convergence is declared on the
-    plain L^2 gradient residual projected orthogonal to the ray direction.
+    Each iteration forms the plain image w = P(u - step d) of the iterate u,
+    where d is the (1 + |xi|^{2s})^{-1}-smoothed gradient and P the class
+    projection; with step = 1 the map u -> w is the Petviashvili iteration.
+    Anderson mixing (Walker & Ni 2011) over the last _DEPTH differences of
+    w and of the residual f = w - u proposes P(w - dW gamma), with gamma the
+    least-squares fit of f by dF.  A candidate is accepted, and rescaled
+    onto the Nehari set, only if its interaction D is positive and its
+    closed-form Nehari energy is below the current one.  A rejected mix
+    clears the history and falls back to the plain step w, halved up to 30
+    times.  Convergence is declared on the plain L^2 gradient residual
+    projected orthogonal to the ray direction.
+
+    metadata["trace"] holds, per iteration, the residual, the Nehari energy
+    and the kind of step taken ("mixed", "plain", "halved", or None when the
+    iteration converged or stalled); the counters hold the accepted and
+    rejected mixes and the functional evaluations (one padded convolution
+    each).
     """
     t_start = time.perf_counter()
     params, grid = config.params, config.grid
@@ -290,7 +303,23 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     t = _nehari_factor(ev.Q, ev.D, p)
     u, ev = t * u, ev.scaled(t, p)
     E = _nehari_value(ev.Q, ev.D, p)
+    counts = {"mixes_accepted": 0, "mixes_rejected": 0, "evaluations": 1}
 
+    def descends(cand):
+        """The evaluation and Nehari energy of cand if it lowers E, else None."""
+        counts["evaluations"] += 1
+        cev = _evaluate(cand, grid, params, mult)
+        if cev.D > 0.0:
+            cE = _nehari_value(cev.Q, cev.D, p)
+            if cE < E:
+                return cev, cE
+        return None
+
+    dW = np.empty((_DEPTH,) + grid.shape)
+    dF = np.empty((_DEPTH,) + grid.shape)
+    stored = 0  # difference rows filled since the last reset
+    w_prev = f_prev = None
+    trace = {"residual": [], "energy": [], "step": []}
     residual = np.inf
     iters = 0
     stalled = False
@@ -298,31 +327,57 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         g = _gradient(u, ev, mult, p)
         gu = float(np.sum(g * u))
         uu = float(np.sum(u * u))
-        r = g - (gu / uu) * u
-        residual = float(np.sqrt(np.sum(r * r) / uu))
+        residual = float(np.sqrt(np.sum((g - (gu / uu) * u) ** 2) / uu))
+        trace["residual"].append(residual)
+        trace["energy"].append(E)
         if residual <= config.tol:
+            trace["step"].append(None)
             break
 
         d = ifftn(precond * fftn(g)).real
-        tau = config.step
-        accepted = False
-        for _halving in range(31):
-            cand = project(u - tau * d)
-            cn = float(np.sum(cand**2))
-            if cn * grid.cellvol < _ZERO_TOL**2:
-                raise CollapseToZero("iterate symmetrized to zero")
-            cev = _evaluate(cand, grid, params, mult)
-            if cev.D > 0.0:
-                cE = _nehari_value(cev.Q, cev.D, p)
-                if cE < E:
-                    tt = _nehari_factor(cev.Q, cev.D, p)
-                    u, ev, E = tt * cand, cev.scaled(tt, p), cE
-                    accepted = True
+        del g  # the trial evaluations below set the peak memory
+        w = project(u - config.step * d)
+        f = w - u
+        if w_prev is not None:
+            row = stored % _DEPTH
+            np.subtract(w, w_prev, out=dW[row])
+            np.subtract(f, f_prev, out=dF[row])
+            stored += 1
+        w_prev, f_prev = w, f
+
+        kind, found = None, None
+        m = min(stored, _DEPTH)
+        if m:
+            F = dF[:m].reshape(m, -1)
+            gamma = np.linalg.lstsq(F @ F.T, F @ f.ravel(), rcond=None)[0]
+            cand = project(w - np.tensordot(gamma, dW[:m], axes=1))
+            found = descends(cand)
+            if found:
+                kind = "mixed"
+                counts["mixes_accepted"] += 1
+            else:
+                counts["mixes_rejected"] += 1
+                stored = 0
+        if not found:
+            tau, cand = config.step, w
+            for halving in range(31):
+                if halving:
+                    tau *= 0.5
+                    cand = project(u - tau * d)
+                cn = float(np.sum(cand**2))
+                if cn * grid.cellvol < _ZERO_TOL**2:
+                    raise CollapseToZero("iterate symmetrized to zero")
+                found = descends(cand)
+                if found:
+                    kind = "halved" if halving else "plain"
                     break
-            tau *= 0.5
-        if not accepted:
+        trace["step"].append(kind)
+        if not found:
             stalled = True
             break
+        cev, E = found
+        tt = _nehari_factor(cev.Q, cev.D, p)
+        u, ev = tt * cand, cev.scaled(tt, p)
 
     field_u = Field(grid, u)
     from . import analysis
@@ -346,6 +401,8 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         "step": config.step,
         "max_iters": config.max_iters,
         "stalled": stalled,
+        **counts,
+        "trace": trace,
         "time_seconds": elapsed,
         "time_per_iteration": elapsed / max(iters, 1),
     }

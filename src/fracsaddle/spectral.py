@@ -234,18 +234,25 @@ def _kernel_transform(grid: Grid, alpha: float) -> np.ndarray:
 def riesz_convolve(f: Field, alpha: float) -> Field:
     """Linear convolution K_alpha * f on the original grid.
 
-    Zero-pads f onto the doubled grid, multiplies transforms, crops back and
-    scales by the cell volume.
+    The transform of f zero-padded onto the doubled grid, times the kernel
+    transform, cropped back to the original grid and scaled by the cell
+    volume.  The (2M)^N pad is never built (Hockney & Eastwood): the
+    forward pass transforms axis by axis, so each axis pads only when it is
+    reached and the axes not yet reached still hold M entries; the inverse
+    pass transforms in place and keeps the first M entries of each axis as
+    soon as that axis is done.
     """
     grid = f.grid
     khat = _kernel_transform(grid, alpha)
-    big_shape = grid.doubled().shape
-    pad = np.zeros(big_shape)
-    pad[tuple(slice(0, grid.M) for _ in range(grid.N_dims))] = f.values
-    conv = sfft.irfftn(
-        sfft.rfftn(pad, workers=_WORKERS) * khat, s=big_shape, workers=_WORKERS
-    )
-    out = conv[tuple(slice(0, grid.M) for _ in range(grid.N_dims))]
+    n, M, axes = 2 * grid.M, grid.M, range(grid.N_dims - 1)
+    spec = sfft.rfft(f.values, n=n, axis=-1, workers=_WORKERS)
+    for ax in reversed(axes):
+        spec = sfft.fft(spec, n=n, axis=ax, workers=_WORKERS)
+    spec *= khat
+    for ax in axes:
+        spec = sfft.ifft(spec, axis=ax, overwrite_x=True, workers=_WORKERS)
+        spec = spec[(slice(None),) * ax + (slice(0, M),)]
+    out = sfft.irfft(spec, n=n, axis=-1, workers=_WORKERS)[..., :M]
     return Field(grid, grid.cellvol * out)
 
 

@@ -150,6 +150,10 @@ def test_cli_groundstate_run(tmp_path, capsys):
     report = json.loads((outdir / "trivial_report.json").read_text())
     assert report["converged"] is True
     assert report["config"]["grid"]["M"] == 12
+    meta = report["metadata"]
+    assert len(meta["trace"]["residual"]) == report["iterations"]
+    assert meta["trace"]["step"][-1] is None
+    assert meta["evaluations"] >= report["iterations"]
     field, _ = read_field(outdir / "trivial_solution.f64")
     assert field.grid.M == 12
     assert "converged=True" in capsys.readouterr().out
@@ -253,4 +257,17 @@ def test_cli_seed_override_is_extension_check_only(tmp_path, capsys):
     assert lhs("--seed", "7") != lhs()
     with pytest.raises(SystemExit):
         main(["groundstate", "--config", path, "--seed", "7"])
+    capsys.readouterr()
+
+
+def test_cli_groundstate_report_omits_seed(tmp_path, capsys):
+    # solver.seed is accepted in any config but only extension-check reads it
+    outdir = tmp_path / "run"
+    cfg = base_config(outdir)
+    cfg["solver"]["seed"] = 7
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main(["groundstate", "--config", path]) == 0
+    solver = json.loads((outdir / "trivial_report.json").read_text())["config"]["solver"]
+    assert "seed" not in solver
+    assert solver["tol"] == 1e-3 and solver["max_iters"] == 400
     capsys.readouterr()

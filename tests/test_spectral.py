@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from fracsaddle.spectral import (
     Field,
@@ -196,6 +197,37 @@ def test_convolution_matches_direct_sum_2d(rng):
             want[i0, i1] = np.sum(block * f) * g.cellvol
     err = np.abs(out.values - want).max() / np.abs(want).max()
     assert err <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_convolution_matches_direct_sum_3d(alpha, rng):
+    # the pruned transform passes differ with the axis count, so 3-D gets its own check
+    g = Grid(3, 8, 6.0)
+    f = rng.standard_normal(g.shape)
+    out = riesz_convolve(Field(g, f), alpha)
+    kern = build_riesz_kernel(g, alpha).values
+    idx = g.M - np.arange(g.M)
+    want = np.empty_like(f)
+    for i in np.ndindex(*g.shape):
+        block = kern[np.ix_(i[0] + idx, i[1] + idx, i[2] + idx)]
+        want[i] = np.sum(block * f) * g.cellvol
+    err = np.abs(out.values - want).max() / np.abs(want).max()
+    assert err <= 1e-12
+
+
+@pytest.mark.parametrize("N, alpha", [(1, 0.5), (2, 1.0), (3, 2.0)])
+def test_convolution_matches_full_pad(N, alpha, rng):
+    # the same product of transforms with the (2M)^N zero pad built explicitly
+    g = Grid(N, 16, 8.0)
+    f = rng.standard_normal(g.shape)
+    out = riesz_convolve(Field(g, f), alpha).values
+    kern = build_riesz_kernel(g, alpha)
+    khat = sfft.rfftn(sfft.ifftshift(kern.values))
+    pad = np.zeros(kern.grid.shape)
+    inner = (slice(0, g.M),) * N
+    pad[inner] = f
+    want = g.cellvol * sfft.irfftn(sfft.rfftn(pad) * khat, s=pad.shape)[inner]
+    assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_convolution_linearity_and_positivity(rng):
