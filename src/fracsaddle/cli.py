@@ -180,10 +180,10 @@ def cmd_extension_check(args) -> int:
     u = spectral.Field(grid, smooth)
     outdir = Path(cfg["output"]["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
+    yg = YGrid.graded(J, default_y_max(grid))
     rows = []
     ok = True
     for s in (float(x) for x in svals):
-        yg = YGrid.graded(J, default_y_max(grid))
         lhs, rhs, ratio = energy_identity_check(u, s, yg)
         rows.append((s, J, lhs, rhs, ratio))
         ok = ok and abs(ratio - 1.0) <= 0.02

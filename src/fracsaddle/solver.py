@@ -22,7 +22,7 @@ from .coxeter import CoxeterGroup
 from .energy import _action, _evaluate, _gradient, _nehari_factor, _nehari_value
 from .energy import energy as energy_of, nehari_scale
 from .params import ModelParams, admissible
-from .spectral import Field, Grid, fftn, ifftn, multiplier
+from .spectral import _LRU, Field, Grid, fftn, ifftn, multiplier
 
 _ZERO_TOL = 1e-10
 _DEPTH = 5  # Anderson history: 3, 5 and 10 all converge under the energy safeguard
@@ -147,14 +147,12 @@ class GroupAction:
         return out.reshape(values.shape)
 
 
-_action_cache: dict = {}
+# An energy table over trivial, A1, A1xA1 and B2 builds 6 distinct actions.
+_action_cache = _LRU(8)
 
 
 def get_action(grid: Grid, group: CoxeterGroup) -> GroupAction:
-    key = (grid, group.fingerprint())
-    if key not in _action_cache:
-        _action_cache[key] = GroupAction(grid, group)
-    return _action_cache[key]
+    return _action_cache.lookup((grid, group.fingerprint()), lambda: GroupAction(grid, group))
 
 
 def symmetrize(u: Field, G: CoxeterGroup) -> Field:
@@ -261,6 +259,13 @@ def _place_signed_bumps(grid, G, q, radius, width):
 # Descent loop
 # ---------------------------------------------------------------------------
 
+def _residual(g: np.ndarray, u: np.ndarray) -> float:
+    """Relative L^2 norm of the gradient g projected orthogonal to the ray u."""
+    gu = float(np.sum(g * u))
+    uu = float(np.sum(u * u))
+    return float(np.sqrt(np.sum((g - (gu / uu) * u) ** 2) / uu))
+
+
 def solve(config: SolverConfig, initial: Field) -> Solution:
     """Minimize the energy over the Nehari set of the symmetric class.
 
@@ -274,13 +279,15 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     closed-form Nehari energy is below the current one.  A rejected mix
     clears the history and falls back to the plain step w, halved up to 30
     times.  Convergence is declared on the plain L^2 gradient residual
-    projected orthogonal to the ray direction.
+    projected orthogonal to the ray direction.  The returned residual and
+    converged flag are those of the returned field, also when the loop
+    stops at max_iters after a step.
 
-    metadata["trace"] holds, per iteration, the residual, the Nehari energy
-    and the kind of step taken ("mixed", "plain", "halved", or None when the
-    iteration converged or stalled); the counters hold the accepted and
-    rejected mixes and the functional evaluations (one padded convolution
-    each).
+    metadata["trace"] holds, per iteration, the residual and the Nehari
+    energy of the iterate the iteration starts from, and the kind of step
+    taken ("mixed", "plain", "halved", or None when the iteration converged
+    or stalled); the counters hold the accepted and rejected mixes and the
+    functional evaluations (one padded convolution each).
     """
     t_start = time.perf_counter()
     params, grid = config.params, config.grid
@@ -325,9 +332,7 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     stalled = False
     for iters in range(1, config.max_iters + 1):
         g = _gradient(u, ev, mult, p)
-        gu = float(np.sum(g * u))
-        uu = float(np.sum(u * u))
-        residual = float(np.sqrt(np.sum((g - (gu / uu) * u) ** 2) / uu))
+        residual = _residual(g, u)
         trace["residual"].append(residual)
         trace["energy"].append(E)
         if residual <= config.tol:
@@ -378,10 +383,12 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         cev, E = found
         tt = _nehari_factor(cev.Q, cev.D, p)
         u, ev = tt * cand, cev.scaled(tt, p)
+    else:
+        # out of iterations after a step: report the residual of the returned u
+        residual = _residual(_gradient(u, ev, mult, p), u)
 
     field_u = Field(grid, u)
     from . import analysis
-
 
     try:
         nodal = analysis.nodal_domains(field_u, 1e-3).count

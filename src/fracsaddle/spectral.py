@@ -19,6 +19,7 @@ on fields that vanish at those faces (every decaying solution does).
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,26 @@ def l2_norm_sq(u: Field) -> float:
 # Riesz kernel and convolution
 # ---------------------------------------------------------------------------
 
-_kernel_cache: dict = {}
+class _LRU:
+    """At most `size` built entries; a miss past that drops the least recently used."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries = OrderedDict()
+
+    def lookup(self, key, build):
+        """The entry for key, made by build() on a miss."""
+        if key in self.entries:
+            self.entries.move_to_end(key)
+        else:
+            self.entries[key] = build()
+            if len(self.entries) > self.size:
+                self.entries.popitem(last=False)
+        return self.entries[key]
+
+
+# A run uses one (grid, alpha); the tests cycle through a few.
+_kernel_cache = _LRU(4)
 
 
 def _unit_cell_mean(N: int, alpha: float) -> float:
@@ -223,12 +243,12 @@ def _kernel_transform(grid: Grid, alpha: float) -> np.ndarray:
     The kernel is even, so its transform is real; the imaginary part is
     rounding (about 1e-17 relative) and is dropped.
     """
-    key = (grid, round(alpha, 12))
-    if key not in _kernel_cache:
+    def build():
         kernel = build_riesz_kernel(grid, alpha)
         khat = sfft.rfftn(sfft.ifftshift(kernel.values), workers=_WORKERS)
-        _kernel_cache[key] = np.ascontiguousarray(khat.real)
-    return _kernel_cache[key]
+        return np.ascontiguousarray(khat.real)
+
+    return _kernel_cache.lookup((grid, round(alpha, 12)), build)
 
 
 def riesz_convolve(f: Field, alpha: float) -> Field:

@@ -184,13 +184,15 @@ def test_cli_decay(tmp_path, capsys):
 def test_cli_extension_check(tmp_path, capsys):
     outdir = tmp_path / "run"
     cfg = base_config(outdir)
-    cfg["problem"]["s"] = [0.5]
+    cfg["problem"]["s"] = [0.25, 0.5, 0.75]
     cfg["grid"] = {"M": 12, "L": 8.0}
     path = write_json(tmp_path / "c.json", cfg)
     assert main(["extension-check", "--config", path]) == 0
     rows = (outdir / "extension_check.csv").read_text().strip().splitlines()
     assert rows[0] == "s,J,lhs,rhs,ratio"
-    assert len(rows) == 2
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [0.25, 0.5, 0.75]
+    for r in rows[1:]:
+        assert abs(float(r.split(",")[4]) - 1.0) <= 0.02
 
 
 def test_cli_table(tmp_path, capsys):

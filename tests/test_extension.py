@@ -95,6 +95,21 @@ def test_harmonic_extend_single_mode():
         assert np.allclose(U.values[..., j], want, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_harmonic_extend_matches_pointwise_profile(s, rng):
+    # psi evaluated once per distinct |xi| must equal psi at every node, bitwise
+    g = Grid(3, 12, 8.0)
+    u = smooth_field(g, rng)
+    yg = YGrid.graded(64, default_y_max(g))
+    U = harmonic_extend(u, s, yg)
+    assert U.values.shape == g.shape + (64,)
+    xi = np.sqrt(g.freq_norm_sq())
+    uhat = fftn(u.values)
+    for j in (0, 1, 17, 40, 63):
+        want = ifftn(psi_profile(s, xi * yg.nodes[j]) * uhat).real
+        assert np.array_equal(U.values[..., j], want)
+
+
 def test_extension_field_shape_check():
     g = Grid(2, 16, 8.0)
     yg = YGrid.graded(64, 10.0)

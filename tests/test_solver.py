@@ -3,7 +3,8 @@ import pytest
 
 from fracsaddle.analysis import sign_on_fundamental_domain
 from fracsaddle.coxeter import generate_group, named_group
-from fracsaddle.energy import energy, interaction, nehari_energy
+from fracsaddle import solver, spectral
+from fracsaddle.energy import energy, gradient, interaction, nehari_energy
 from fracsaddle.params import ModelParams
 from fracsaddle.solver import (
     CollapseToZero,
@@ -183,6 +184,38 @@ def test_solve_groundstate_smoke():
     assert sol.metadata["grid"]["M"] == 16
     # the converged energy is the Nehari value of its own field
     assert nehari_energy(sol.u, PARAMS) == pytest.approx(sol.energy, rel=1e-8)
+
+
+def test_solve_residual_at_iteration_cap():
+    # stopping at max_iters after a step: residual and converged describe the
+    # returned field, while the trace keeps the state each iteration started from
+    g = Grid(3, 16, 10.0)
+    cfg = SolverConfig(params=PARAMS, grid=g, group=named_group("trivial"), max_iters=3)
+    sol = solve(cfg, init_groundstate(g, PARAMS))
+    assert sol.iterations == 3 and not sol.converged
+    u = sol.u.values
+    grad = gradient(sol.u, PARAMS).values
+    ray = float(np.sum(grad * u)) / float(np.sum(u * u))
+    want = np.sqrt(np.sum((grad - ray * u) ** 2) / np.sum(u * u))
+    assert sol.residual == pytest.approx(want, rel=1e-10)
+    assert sol.metadata["trace"]["residual"][-1] != pytest.approx(want, rel=1e-3)
+
+
+def test_caches_are_bounded_lru():
+    A1 = named_group("A1")
+    for cache, fetch in (
+        (spectral._kernel_cache, lambda g: spectral._kernel_transform(g, 0.5)),
+        (solver._action_cache, lambda g: get_action(g, A1)),
+    ):
+        n = cache.size
+        grids = [Grid(1, 8 + 2 * k, 4.0) for k in range(n + 1)]
+        built = [fetch(g) for g in grids[:n]]
+        assert fetch(grids[0]) is built[0]  # a hit makes grids[0] the newest
+        fetch(grids[n])  # one past the bound drops grids[1], the oldest
+        assert len(cache.entries) == n
+        assert fetch(grids[0]) is built[0]
+        assert fetch(grids[n - 1]) is built[n - 1]
+        assert fetch(grids[1]) is not built[1]
 
 
 def _pohozaev_residual(u, P):
