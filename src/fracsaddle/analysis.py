@@ -8,8 +8,11 @@ import numpy as np
 from scipy import ndimage
 
 from .coxeter import CoxeterGroup
+from .energy import _action, _evaluate_field, _gradient
 from .solver import (
     SolverConfig,
+    _index_table,
+    _residual,
     init_groundstate,
     init_saddle,
     solve,
@@ -163,24 +166,58 @@ def _snap_to_lattice(grid, x_k):
 def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = None):
     """Solve the symmetric minimization for `group` on base's grid/params.
 
-    Results are memoized in `cache` (keyed by group fingerprint and every
-    config field the solve reads: grid, params, tol, max_iters, step, R) so
-    a table run and its breakup candidates share solves; pass the same dict
-    across calls to reuse them.
+    Results are memoized in `cache` (keyed by the group's lattice-conjugacy
+    class, CoxeterGroup.canonical_form on the grid's axes, and every config
+    field the solve reads: grid, params, tol, max_iters, step, R) so a table
+    run and its breakup candidates share solves; pass the same dict across
+    calls to reuse them.  A group conjugate to a solved one gets the solved
+    field moved by index (see _conjugate); a group with the same embedded
+    element set gets the cached object itself.
     """
     if cache is None:
         cache = {}
     cfg = replace(base, group=group)
-    key = (group.fingerprint(), cfg.grid, cfg.params, cfg.tol, cfg.max_iters, cfg.step, cfg.R)
-    if key in cache:
-        return cache[key]
-    if group.is_trivial():
-        u0 = init_groundstate(cfg.grid, cfg.params)
-    else:
-        u0 = init_saddle(cfg.grid, group, cfg.params, R=cfg.R)
-    sol = solve(cfg, u0)
-    cache[key] = sol
-    return sol
+    form, sigma = group.canonical_form(cfg.grid.N_dims)
+    key = (form, cfg.grid, cfg.params, cfg.tol, cfg.max_iters, cfg.step, cfg.R)
+    if key not in cache:
+        if group.is_trivial():
+            u0 = init_groundstate(cfg.grid, cfg.params)
+        else:
+            u0 = init_saddle(cfg.grid, group, cfg.params, R=cfg.R)
+        cache[key] = (solve(cfg, u0), sigma)
+    sol, sigma0 = cache[key]
+    S = sigma0.T @ sigma
+    if np.array_equal(S, np.eye(len(S), dtype=S.dtype)):
+        return sol
+    return _conjugate(sol, S, cfg)
+
+
+def _conjugate(sol, S: np.ndarray, cfg: SolverConfig):
+    """sol moved to the class of cfg.group = S^T G0 S as u(x) = v(S x).
+
+    The gather is exact and keeps u in its class bitwise, but the padded
+    convolution sees a negated axis's -L/2 face layer map to itself, not to
+    +L/2, so the functional is invariant only when that layer is zero.  The
+    energy, residual, converged flag and nodal count are therefore measured
+    on u, with one evaluation; the decay slope is radial and carries over.
+    metadata["reused_from"] names the solved group and S.
+    """
+    grid, params = cfg.grid, cfg.params
+    u = Field(grid, sol.u.values.ravel()[_index_table(grid, S)].reshape(grid.shape))
+    ev, mult = _evaluate_field(u, params)
+    residual = _residual(_gradient(u.values, ev, mult, params.p), u.values)
+    meta = dict(sol.metadata)
+    meta["group"] = {"name": cfg.group.name, "order": cfg.group.order}
+    meta["reused_from"] = {"group": sol.metadata["group"], "signed_permutation": S.tolist()}
+    return replace(
+        sol,
+        u=u,
+        energy=_action(ev.Q, ev.D, params.p),
+        residual=residual,
+        nodal_count=nodal_domains(u).count,
+        converged=residual <= cfg.tol,
+        metadata=meta,
+    )
 
 
 def energy_table(configs, cache: dict | None = None) -> EnergyTable:

@@ -82,9 +82,9 @@ def _solver_config(cfg, group) -> SolverConfig:
         params=cfg["params"],
         grid=cfg["grid"],
         group=group,
-        max_iters=int(sv["max_iters"]),
-        tol=float(sv["tol"]),
-        step=float(sv["step"]),
+        max_iters=sv["max_iters"],
+        tol=sv["tol"],
+        step=sv["step"],
         R=sv["R"],
     )
 
@@ -174,7 +174,7 @@ def cmd_extension_check(args) -> int:
     grid = cfg["grid"]
     J = 256
     seed = cfg["solver"]["seed"] if args.seed is None else args.seed
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape)
     smooth = spectral.ifftn(spectral.fftn(noise) * np.exp(-0.5 * grid.freq_norm_sq())).real
     u = spectral.Field(grid, smooth)

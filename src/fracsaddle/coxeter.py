@@ -12,6 +12,8 @@ determinant; it is the unique homomorphism onto {-1, +1} sending every
 reflection to -1.
 """
 
+from itertools import permutations, product
+
 import numpy as np
 
 _DEDUP_TOL = 1e-12
@@ -34,6 +36,25 @@ def _as_element(m) -> np.ndarray:
 
 def _key(m: np.ndarray) -> bytes:
     return m.astype(np.int8).tobytes()
+
+
+def _fingerprint(elements) -> bytes:
+    return b"".join(sorted(_key(g) for g in elements))
+
+
+def _embed(m: np.ndarray, n_dims: int) -> np.ndarray:
+    """Extend k x k element(s) to act on the first k of n_dims axes."""
+    k = m.shape[-1]
+    out = np.broadcast_to(np.eye(n_dims, dtype=np.int64), m.shape[:-2] + (n_dims, n_dims)).copy()
+    out[..., :k, :k] = m
+    return out
+
+
+def _signed_permutations(n: int) -> np.ndarray:
+    """All 2^n n! signed permutation matrices of size n, identity first."""
+    rows = np.eye(n, dtype=np.int64)[list(permutations(range(n)))]
+    signs = np.array(list(product((1, -1), repeat=n)), dtype=np.int64)
+    return (signs[None, :, :, None] * rows[:, None]).reshape(-1, n, n)
 
 
 def element_sign(m: np.ndarray) -> int:
@@ -190,9 +211,30 @@ class CoxeterGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def fingerprint(self) -> bytes:
-        """Stable byte signature of the element set (cache key material)."""
-        return b"".join(sorted(_key(g) for g in self.elements))
+    def fingerprint(self, n_dims: int | None = None) -> bytes:
+        """Stable byte signature of the element set (cache key material).
+
+        With n_dims the elements are first embedded to act on the first
+        `rank` of n_dims axes, so groups of different rank that act alike on
+        an n_dims-dimensional grid share one signature.
+        """
+        return _fingerprint(self.elements if n_dims is None else _embed(self.elements, n_dims))
+
+    def canonical_form(self, n_dims: int):
+        """(fingerprint, sigma) of the least conjugate sigma G sigma^T.
+
+        sigma runs over the signed permutations of n_dims axes, the grid's
+        own symmetries, and the least conjugate is the one with the
+        lexicographically smallest fingerprint(n_dims); sigma is the first
+        one attaining it.  Two groups share the fingerprint exactly when
+        they are conjugate by a signed permutation, G = S^T G0 S with
+        S = sigma0^T sigma.
+        """
+        sigmas = _signed_permutations(n_dims)[:, None]
+        conj = sigmas @ _embed(self.elements, n_dims)[None] @ sigmas.transpose(0, 1, 3, 2)
+        forms = [_fingerprint(c) for c in conj]
+        best = forms.index(min(forms))
+        return forms[best], sigmas[best, 0]
 
     def index_of(self, g) -> int:
         kb = _key(_as_element(g))

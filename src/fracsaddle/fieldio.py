@@ -36,6 +36,18 @@ def _check_keys(section: str, data: dict) -> None:
         raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
 
 
+def _number(where: str, value, integer: bool = False):
+    """value as a float, or an int with integer; booleans, strings and
+    non-integral integers are refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{where}' must be a number; got {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"'{where}' must be an integer; got {value!r}")
+    return int(value)
+
+
 def load_config(path, allow_s_list=False) -> dict:
     """Parse and validate a run configuration file.
 
@@ -63,49 +75,46 @@ def load_config(path, allow_s_list=False) -> dict:
     for k in ("N", "s", "alpha", "p"):
         if k not in prob:
             raise ConfigError(f"problem section needs '{k}'")
+    N = _number("problem.N", prob["N"], integer=True)
+    alpha = _number("problem.alpha", prob["alpha"])
+    p = _number("problem.p", prob["p"])
+    experimental = prob.get("experimental", False)
+    if not isinstance(experimental, bool):
+        raise ConfigError(f"'problem.experimental' must be true or false; got {experimental!r}")
     s_raw = prob["s"]
-    if isinstance(s_raw, (list, tuple)):
+    sweep = isinstance(s_raw, (list, tuple))
+    if sweep:
         # Sweeps over the fractional order never form the interaction term,
         # so only the norm-side constraints apply, not the p bound.
         if not allow_s_list:
             raise ConfigError("'s' must be a single number for this command")
         if not s_raw:
             raise ConfigError("'s' list must be nonempty")
-        s_values = [float(v) for v in s_raw]
-        N = int(prob["N"])
+        s_values = [_number("problem.s", v) for v in s_raw]
         for s in s_values:
             if not (0.0 < s < 1.0 and N > 2.0 * s):
                 raise ConfigError(f"s sweep values need 0 < s < 1 and N > 2s; got s={s}")
-        params = ModelParams(
-            N=N,
-            s=s_values[0],
-            alpha=float(prob["alpha"]),
-            p=float(prob["p"]),
-            experimental=bool(prob.get("experimental", False)),
-        )
     else:
-        params = ModelParams(
-            N=int(prob["N"]),
-            s=float(s_raw),
-            alpha=float(prob["alpha"]),
-            p=float(prob["p"]),
-            experimental=bool(prob.get("experimental", False)),
+        s_values = [_number("problem.s", s_raw)]
+    params = ModelParams(N=N, s=s_values[0], alpha=alpha, p=p, experimental=experimental)
+    if not sweep and not admissible(params):
+        raise ConfigError(
+            f"inadmissible problem parameters (N={params.N}, s={params.s}, "
+            f"alpha={params.alpha}, p={params.p}): need 0 < s < 1, "
+            f"0 < alpha < N, N > 2s, and 2 <= p < (N + alpha)/(N - 2s)"
+            + ("" if params.N != 2 else "; N = 2 needs experimental: true")
         )
-        if not admissible(params):
-            raise ConfigError(
-                f"inadmissible problem parameters (N={params.N}, s={params.s}, "
-                f"alpha={params.alpha}, p={params.p}): need 0 < s < 1, "
-                f"0 < alpha < N, N > 2s, and 2 <= p < (N + alpha)/(N - 2s)"
-                + ("" if params.N != 2 else "; N = 2 needs experimental: true")
-            )
     gsec = raw["grid"]
     for k in ("M", "L"):
         if k not in gsec:
             raise ConfigError(f"grid section needs '{k}'")
-    grid = Grid(params.N, int(gsec["M"]), float(gsec["L"]))
+    grid = Grid(params.N, _number("grid.M", gsec["M"], integer=True), _number("grid.L", gsec["L"]))
 
     solver = dict(_SOLVER_DEFAULTS)
-    solver.update(raw.get("solver", {}))
+    for k, v in raw.get("solver", {}).items():
+        if k != "R" or v is not None:
+            v = _number(f"solver.{k}", v, integer=k in ("max_iters", "seed"))
+        solver[k] = v
     output = dict(_OUTPUT_DEFAULTS)
     output.update(raw.get("output", {}))
     return {

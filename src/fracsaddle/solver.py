@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coxeter import CoxeterGroup
+from .coxeter import CoxeterGroup, _embed
 from .energy import _action, _evaluate, _gradient, _nehari_factor, _nehari_value
 from .energy import energy as energy_of, nehari_scale
 from .params import ModelParams, admissible
@@ -66,14 +66,6 @@ class Solution:
     decay_slope: float
     converged: bool
     metadata: dict = field(default_factory=dict)
-
-
-def _embed(m: np.ndarray, N_dims: int) -> np.ndarray:
-    """Extend a k x k group element to act on the first k of N_dims axes."""
-    k = m.shape[0]
-    out = np.eye(N_dims, dtype=np.int64)
-    out[:k, :k] = m
-    return out
 
 
 def _index_table(grid: Grid, m: np.ndarray) -> np.ndarray:
@@ -147,12 +139,21 @@ class GroupAction:
         return out.reshape(values.shape)
 
 
-# An energy table over trivial, A1, A1xA1 and B2 builds 6 distinct actions.
+# An energy table over trivial, A1, A1xA1 and B2 builds 4 distinct actions.
 _action_cache = _LRU(8)
 
 
 def get_action(grid: Grid, group: CoxeterGroup) -> GroupAction:
-    return _action_cache.lookup((grid, group.fingerprint()), lambda: GroupAction(grid, group))
+    """The cached action of group's element set embedded into grid's axes.
+
+    Groups of any rank that act alike on the grid share one action.  Its rows
+    follow the element order of the group that built it, so index
+    action.tables with action.signs, not with another group's index_of.
+    Conjugate groups have other tables and are keyed apart.
+    """
+    return _action_cache.lookup(
+        (grid, group.fingerprint(grid.N_dims)), lambda: GroupAction(grid, group)
+    )
 
 
 def symmetrize(u: Field, G: CoxeterGroup) -> Field:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fracsaddle import analysis
 from fracsaddle.analysis import (
     decay_exponent,
     energy_table,
@@ -11,9 +12,9 @@ from fracsaddle.analysis import (
     sign_on_fundamental_domain,
     solve_level,
 )
-from fracsaddle.coxeter import named_group
+from fracsaddle.coxeter import generate_group, named_group
 from fracsaddle.params import ModelParams
-from fracsaddle.solver import SolverConfig
+from fracsaddle.solver import SolverConfig, _index_table, get_action, init_saddle, solve, symmetrize
 from fracsaddle.spectral import Field, Grid
 
 PARAMS = ModelParams(3, 0.5, 2.0, 2.0)
@@ -168,3 +169,69 @@ def test_energy_table_small(tmp_path):
     assert rows[0]["cStar"] == ""  # non-finite renders blank
     assert float(rows[1]["cG"]) == pytest.approx(a1.c_G)
     assert rows[1]["verified"] in ("true", "false")
+
+
+@pytest.fixture(scope="module")
+def table24():
+    """The M=24 table over trivial, A1, A1xA1, B2, its cache and its solve count."""
+    g = Grid(3, 24, 18.0)
+    configs = [SolverConfig(params=PARAMS, grid=g, group=named_group(n))
+               for n in ("trivial", "A1", "A1xA1", "B2")]
+    solves = []
+
+    def counting(cfg, u0):
+        solves.append(cfg.group)
+        return solve(cfg, u0)
+
+    cache = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "solve", counting)
+        table = energy_table(configs, cache)
+    return table, cache, solves, configs[0]
+
+
+def test_energy_table_solves_each_conjugacy_class_once(table24):
+    table, cache, solves, _ = table24
+    # trivial, A1, A1xA1, B2 and the diagonal mirror of B2; the rank-2
+    # trivial group and the x1 and x2 mirrors of A1xA1 are reused
+    assert len(solves) == 5 and len(cache) == 5
+    assert [r.group for r in table.rows] == ["trivial", "A1", "A1xA1", "B2"]
+    assert all(r.verified for r in table.rows)
+
+
+# Each mirror is conjugate to a cached class by a signed permutation S; the
+# x3 mirror needs a 3-cycle, where S and S^T differ, so swapping them would
+# put the reused field outside its class.  The anti-diagonal mirror needs a
+# negation whose -L/2 face layer is not pinned, which the padded convolution
+# does not see as a symmetry: its direct solve stalls at residual 2.5e-5 and
+# the reused field measures 3.5e-5, so both report not converged, with
+# energies 2.5e-10 apart.
+@pytest.mark.parametrize("mirror, source", [
+    ([[1, 0], [0, -1]], "A1"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], "A1"),
+    ([[0, -1], [-1, 0]], None),  # from the diagonal mirror, a breakup class of B2
+])
+def test_solve_level_reuses_conjugate_class(mirror, source, table24):
+    _, cache, solves, base = table24
+    g = base.grid
+    G = generate_group([np.array(mirror)])
+    n_solves = len(solves)
+    sol = solve_level(G, base, cache)
+    assert len(solves) == n_solves  # no new solve
+    reused = sol.metadata["reused_from"]
+    cached = next(v for v, _ in cache.values() if v.metadata["group"] == reused["group"])
+    assert cached.metadata["group"] == {"name": source, "order": 2}
+    S = np.array(reused["signed_permutation"])
+    want = cached.u.values.ravel()[_index_table(g, S)].reshape(g.shape)
+    assert np.array_equal(sol.u.values, want)
+    assert np.array_equal(symmetrize(sol.u, G).values, sol.u.values)
+    assert sol.nodal_count == cached.nodal_count
+    direct = solve(SolverConfig(params=PARAMS, grid=g, group=G), init_saddle(g, G, PARAMS))
+    assert sol.converged == direct.converged == (source == "A1")
+    assert sol.energy == pytest.approx(direct.energy, rel=1e-8)
+
+
+def test_get_action_shares_embedded_element_set():
+    g = Grid(3, 8, 4.0)
+    rank3 = generate_group([np.diag([-1, 1, 1])])
+    assert get_action(g, named_group("A1")) is get_action(g, rank3)

@@ -219,6 +219,37 @@ def test_cli_table_honours_saddle_radius(tmp_path, capsys):
     assert "R must lie in" in capsys.readouterr().err
 
 
+# Each of these was once coerced and run: tol true as 1.0 (a 2-iteration
+# "converged" saddle with 22 nodal domains), max_iters 2.7 as 2, M 16.9 as 16;
+# R "3" escaped as a TypeError traceback.
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "tol", True),
+    ("solver", "max_iters", 2.7),
+    ("grid", "M", 16.9),
+    ("solver", "R", "3"),
+    ("problem", "p", "2"),
+    ("problem", "N", 3.5),
+    ("grid", "L", False),
+    ("problem", "experimental", "yes"),
+])
+def test_cli_rejects_mistyped_numbers(tmp_path, capsys, section, key, value):
+    cfg = base_config(tmp_path / "run", group={"name": "A1"})
+    cfg["grid"] = {"M": 16, "L": 10.0}
+    cfg[section][key] = value
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main(["saddle", "--config", path]) == 1
+    assert f"'{section}.{key}' must be" in capsys.readouterr().err
+
+
+def test_load_config_keeps_integral_floats(tmp_path):
+    cfg = base_config(tmp_path)
+    cfg["grid"]["M"] = 12.0
+    cfg["solver"]["max_iters"] = 400.0
+    out = load_config(write_json(tmp_path / "c.json", cfg))
+    assert out["grid"].M == 12
+    assert out["solver"]["max_iters"] == 400 and isinstance(out["solver"]["max_iters"], int)
+
+
 def test_cli_error_exits(tmp_path, capsys):
     # missing file
     assert main(["info", "--config", str(tmp_path / "nope.json")]) == 1

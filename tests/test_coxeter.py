@@ -161,6 +161,26 @@ def test_fingerprint_identifies_group_not_object():
     assert a.fingerprint() != named_group("A1xA1").fingerprint()
 
 
+def test_fingerprint_embeds_into_grid_axes():
+    a1, x1 = named_group("A1"), generate_group([np.diag([-1, 1, 1])])
+    assert a1.fingerprint() != x1.fingerprint()
+    assert a1.fingerprint(3) == x1.fingerprint(3)
+    assert CoxeterGroup.trivial(1).fingerprint(3) == CoxeterGroup.trivial(3).fingerprint()
+
+
+def test_canonical_form_identifies_conjugacy_class():
+    a1 = named_group("A1")
+    x3 = generate_group([np.diag([1, 1, -1])])
+    diag = generate_group([np.array([[0, 1], [1, 0]])])
+    anti = generate_group([np.array([[0, -1], [-1, 0]])])
+    (fa, sa), (fx, sx) = a1.canonical_form(3), x3.canonical_form(3)
+    assert fa == fx
+    S = sa.T @ sx  # x3 = S^T A1 S
+    assert np.array_equal(S.T @ np.diag([-1, 1, 1]) @ S, np.diag([1, 1, -1]))
+    assert diag.canonical_form(3)[0] == anti.canonical_form(3)[0] != fa
+    assert named_group("A1xA1").canonical_form(3)[0] != named_group("B2").canonical_form(3)[0]
+
+
 def test_trivial_group():
     T = CoxeterGroup.trivial(1)
     assert T.is_trivial() and T.order == 1

@@ -239,6 +239,29 @@ def test_solve_groundstate_alpha1():
     assert _pohozaev_residual(sol.u, P) <= 6e-3
 
 
+# p != 2 and s = 1/4; each Pohozaev bound sits above the residual measured
+# here: p = 2.5 A1 3.4e-4 (106 iterations), p = 2.5 groundstate 3.7e-3
+# (12 iterations), s = 1/4 A1 3.1e-4 (45 iterations).  Coarser boxes are
+# under-resolved and still report converged: the p = 2.5 groundstate at
+# M = 24 splits into 13 (L = 18) or 7 (L = 12) nodal domains.
+@pytest.mark.parametrize("s, alpha, p, name, M, L, pohozaev", [
+    (0.75, 2.0, 2.5, "A1", 24, 12.0, 5e-4),
+    (0.75, 2.0, 2.5, "trivial", 32, 12.0, 5e-3),
+    (0.25, 2.5, 2.0, "A1", 24, 18.0, 5e-4),
+])
+def test_solve_beyond_p2_and_s_half(s, alpha, p, name, M, L, pohozaev):
+    P = ModelParams(3, s, alpha, p)
+    g = Grid(3, M, L)
+    G = named_group(name)
+    u0 = init_groundstate(g, P) if G.is_trivial() else init_saddle(g, G, P)
+    sol = solve(SolverConfig(params=P, grid=g, group=G), u0)
+    assert sol.converged
+    assert sol.nodal_count == G.order
+    if not G.is_trivial():
+        assert sign_on_fundamental_domain(sol.u, G)
+    assert _pohozaev_residual(sol.u, P) <= pohozaev
+
+
 @pytest.fixture(scope="module")
 def solves24():
     """Converged solves at N=3, M=24, L=18, one per class, made on first use."""
