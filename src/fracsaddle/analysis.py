@@ -43,9 +43,8 @@ def nodal_domains(u: Field, eps_rel: float = 1e-3) -> NodalReport:
     eps = eps_rel * amax
     sizes = []
     for mask in (u.values > eps, u.values < -eps):
-        labels, n = ndimage.label(mask)
-        for i in range(1, n + 1):
-            sizes.append(int(np.sum(labels == i)))
+        labels, _ = ndimage.label(mask)
+        sizes.extend(np.bincount(labels.ravel())[1:].tolist())
     sizes.sort(reverse=True)
     return NodalReport(count=len(sizes), component_sizes=sizes, threshold=eps)
 
@@ -168,7 +167,7 @@ def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = No
 
     Results are memoized in `cache` (keyed by the group's lattice-conjugacy
     class, CoxeterGroup.canonical_form on the grid's axes, and every config
-    field the solve reads: grid, params, tol, max_iters, step, R) so a table
+    field the solve reads: grid, params, tol, max_iters, R) so a table
     run and its breakup candidates share solves; pass the same dict across
     calls to reuse them.  A group conjugate to a solved one gets the solved
     field moved by index (see _conjugate); a group with the same embedded
@@ -178,7 +177,7 @@ def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = No
         cache = {}
     cfg = replace(base, group=group)
     form, sigma = group.canonical_form(cfg.grid.N_dims)
-    key = (form, cfg.grid, cfg.params, cfg.tol, cfg.max_iters, cfg.step, cfg.R)
+    key = (form, cfg.grid, cfg.params, cfg.tol, cfg.max_iters, cfg.R)
     if key not in cache:
         if group.is_trivial():
             u0 = init_groundstate(cfg.grid, cfg.params)
@@ -198,9 +197,8 @@ def _conjugate(sol, S: np.ndarray, cfg: SolverConfig):
     The gather is exact and keeps u in its class bitwise, but the padded
     convolution sees a negated axis's -L/2 face layer map to itself, not to
     +L/2, so the functional is invariant only when that layer is zero.  The
-    energy, residual, converged flag and nodal count are therefore measured
-    on u, with one evaluation; the decay slope is radial and carries over.
-    metadata["reused_from"] names the solved group and S.
+    energy, residual and converged flag are therefore measured on u, with
+    one evaluation.  metadata["reused_from"] names the solved group and S.
     """
     grid, params = cfg.grid, cfg.params
     u = Field(grid, sol.u.values.ravel()[_index_table(grid, S)].reshape(grid.shape))
@@ -214,7 +212,6 @@ def _conjugate(sol, S: np.ndarray, cfg: SolverConfig):
         u=u,
         energy=_action(ev.Q, ev.D, params.p),
         residual=residual,
-        nodal_count=nodal_domains(u).count,
         converged=residual <= cfg.tol,
         metadata=meta,
     )

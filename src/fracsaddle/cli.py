@@ -84,18 +84,28 @@ def _solver_config(cfg, group) -> SolverConfig:
         group=group,
         max_iters=sv["max_iters"],
         tol=sv["tol"],
-        step=sv["step"],
         R=sv["R"],
     )
 
 
-def _run_and_write(cfg, group, initial, extra=None) -> int:
-    sc = _solver_config(cfg, group)
+def _run_and_write(cfg, sc: SolverConfig, initial) -> int:
+    """Solve, measure the nodal domains and the tail once, and write both."""
     sol = solve(sc, initial)
+    group = sc.group
+    nodal = nodal_domains(sol.u)
+    try:
+        slope = decay_exponent(sol.u, 0.2, 0.4)
+    except ValueError:  # fewer than 5 populated shells in the window, e.g. M = 16
+        slope = None
     echo = resolved_config_dict(cfg["params"], cfg["grid"], group, cfg["solver"], cfg["output"])
-    report = solution_report(sol, echo)
-    if extra:
-        report.update(extra(sol))
+    report = solution_report(sol, nodal.count, slope, echo)
+    if not group.is_trivial():
+        report["nodal_report"] = {
+            "count": nodal.count,
+            "component_sizes": nodal.component_sizes,
+            "threshold": nodal.threshold,
+        }
+        report["constant_sign_on_chamber"] = sign_on_fundamental_domain(sol.u, group)
     outdir = Path(cfg["output"]["dir"])
     name = group.name or "custom"
     write_field(outdir / f"{name}_solution.f64", sol.u, cfg["params"],
@@ -104,7 +114,7 @@ def _run_and_write(cfg, group, initial, extra=None) -> int:
     print(
         f"{name}: converged={sol.converged} iters={sol.iterations} "
         f"energy={sol.energy:.8g} residual={sol.residual:.3g} "
-        f"nodal={sol.nodal_count}"
+        f"nodal={nodal.count}"
     )
     return 0 if sol.converged else 2
 
@@ -115,7 +125,7 @@ def cmd_groundstate(args) -> int:
     if not group.is_trivial():
         raise ConfigError("groundstate runs need the trivial group")
     u0 = init_groundstate(cfg["grid"], cfg["params"])
-    return _run_and_write(cfg, group, u0)
+    return _run_and_write(cfg, _solver_config(cfg, group), u0)
 
 
 def cmd_saddle(args) -> int:
@@ -123,21 +133,9 @@ def cmd_saddle(args) -> int:
     group = resolve_group(cfg["group_spec"])
     if group.is_trivial():
         raise ConfigError("saddle runs need a nontrivial group")
-    R = cfg["solver"].get("R")
-    u0 = init_saddle(cfg["grid"], group, cfg["params"], R=R)
-
-    def extra(sol):
-        rep = nodal_domains(sol.u)
-        return {
-            "nodal_report": {
-                "count": rep.count,
-                "component_sizes": rep.component_sizes,
-                "threshold": rep.threshold,
-            },
-            "constant_sign_on_chamber": sign_on_fundamental_domain(sol.u, group),
-        }
-
-    return _run_and_write(cfg, group, u0, extra)
+    sc = _solver_config(cfg, group)
+    u0 = init_saddle(cfg["grid"], group, cfg["params"], R=sc.R)
+    return _run_and_write(cfg, sc, u0)
 
 
 def cmd_table(args) -> int:

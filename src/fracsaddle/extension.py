@@ -23,6 +23,7 @@ from scipy.special import kv
 
 from .coxeter import CoxeterGroup
 from .params import extension_constant
+from .solver import get_action
 from .spectral import Field, Grid, fftn, ifftn, seminorm_sq
 
 
@@ -224,8 +225,6 @@ def trace_inequality_check(V: ExtensionField, s: float):
 
 def extend_symmetry_check(u: Field, G: CoxeterGroup, s: float, ygrid=None) -> bool:
     """True iff every slice of the extension inherits u's signed symmetry."""
-    from .solver import get_action
-
     grid = u.grid
     if ygrid is None:
         ygrid = YGrid.graded(64, default_y_max(grid))

@@ -18,11 +18,11 @@ _CONFIG_KEYS = {
     "problem": {"N", "s", "alpha", "p", "experimental"},
     "grid": {"M", "L"},
     "group": {"name", "generators"},
-    "solver": {"tol", "max_iters", "step", "seed", "R"},
+    "solver": {"tol", "max_iters", "seed", "R"},
     "output": {"dir"},
 }
 
-_SOLVER_DEFAULTS = {"tol": 1e-6, "max_iters": 2000, "step": 1.0, "seed": 0, "R": None}
+_SOLVER_DEFAULTS = {"tol": 1e-6, "max_iters": 2000, "seed": 0, "R": None}
 _OUTPUT_DEFAULTS = {"dir": "out"}
 
 
@@ -220,14 +220,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def solution_report(sol, config_echo: dict) -> dict:
-    slope = sol.decay_slope
+def solution_report(sol, nodal_count: int, decay_slope: float | None,
+                    config_echo: dict) -> dict:
+    """The run report: sol's numbers, the diagnostics measured on sol.u, and
+    the config echo; decay_slope is None when the fit window is too thin."""
     return {
         "energy": sol.energy,
         "residual": sol.residual,
         "iterations": sol.iterations,
-        "nodal_count": sol.nodal_count,
-        "decay_slope": None if np.isnan(slope) else slope,
+        "nodal_count": nodal_count,
+        "decay_slope": decay_slope,
         "converged": sol.converged,
         "config": config_echo,
         "metadata": sol.metadata,

@@ -39,7 +39,6 @@ class SolverConfig:
     group: CoxeterGroup
     max_iters: int = 2000
     tol: float = 1e-6
-    step: float = 1.0
     R: float | None = None  # saddle bump scale; None picks default_saddle_radius
 
     def __post_init__(self):
@@ -62,8 +61,6 @@ class Solution:
     energy: float
     residual: float
     iterations: int
-    nodal_count: int
-    decay_slope: float
     converged: bool
     metadata: dict = field(default_factory=dict)
 
@@ -222,20 +219,13 @@ def init_saddle(
             f"placement radius {ell * R:.3f} exceeds L/2 - 3R = "
             f"{grid.L / 2.0 - 3.0 * R:.3f}; shrink R"
         )
-    C = G.chamber()
-    q = C.interior_point()
+    q = G.chamber().interior_point()
     q = q / np.linalg.norm(q)
-
-    rng = np.random.default_rng(12345)
-    radius = ell * R
-    for _attempt in range(6):
-        vals = _place_signed_bumps(grid, G, q, radius, R / 2.0)
-        sym = symmetrize(Field(grid, vals), G)
-        norm = np.sqrt(float(grid.cellvol * np.sum(sym.values**2)))
-        if norm > _ZERO_TOL:
-            return _nehari_project(sym, params)
-        radius = ell * R * (1.0 + 0.05 * float(rng.uniform(-1.0, 1.0)))
-    raise CollapseToZero("signed bump arrangement symmetrized to zero")
+    sym = symmetrize(Field(grid, _place_signed_bumps(grid, G, q, ell * R, R / 2.0)), G)
+    if np.sqrt(float(grid.cellvol * np.sum(sym.values**2))) <= _ZERO_TOL:
+        # only bumps narrower than the grid can vanish under the projection
+        raise CollapseToZero("signed bump arrangement symmetrized to zero")
+    return _nehari_project(sym, params)
 
 
 def _place_signed_bumps(grid, G, q, radius, width):
@@ -270,9 +260,9 @@ def _residual(g: np.ndarray, u: np.ndarray) -> float:
 def solve(config: SolverConfig, initial: Field) -> Solution:
     """Minimize the energy over the Nehari set of the symmetric class.
 
-    Each iteration forms the plain image w = P(u - step d) of the iterate u,
-    where d is the (1 + |xi|^{2s})^{-1}-smoothed gradient and P the class
-    projection; with step = 1 the map u -> w is the Petviashvili iteration.
+    Each iteration forms the plain image w = P(u - d) of the iterate u, where
+    d is the (1 + |xi|^{2s})^{-1}-smoothed gradient and P the class
+    projection: the map u -> w is the Petviashvili iteration.
     Anderson mixing (Walker & Ni 2011) over the last _DEPTH differences of
     w and of the residual f = w - u proposes P(w - dW gamma), with gamma the
     least-squares fit of f by dF.  A candidate is accepted, and rescaled
@@ -342,7 +332,7 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
 
         d = ifftn(precond * fftn(g)).real
         del g  # the trial evaluations below set the peak memory
-        w = project(u - config.step * d)
+        w = project(u - d)
         f = w - u
         if w_prev is not None:
             row = stored % _DEPTH
@@ -365,7 +355,7 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
                 counts["mixes_rejected"] += 1
                 stored = 0
         if not found:
-            tau, cand = config.step, w
+            tau, cand = 1.0, w
             for halving in range(31):
                 if halving:
                     tau *= 0.5
@@ -388,25 +378,12 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         # out of iterations after a step: report the residual of the returned u
         residual = _residual(_gradient(u, ev, mult, p), u)
 
-    field_u = Field(grid, u)
-    from . import analysis
-
-    try:
-        nodal = analysis.nodal_domains(field_u, 1e-3).count
-    except ValueError:
-        nodal = 0
-    try:
-        slope = analysis.decay_exponent(field_u, 0.2, 0.4)
-    except ValueError:
-        slope = float("nan")
-
     elapsed = time.perf_counter() - t_start
     meta = {
         "params": {"N": params.N, "s": params.s, "alpha": params.alpha, "p": params.p},
         "grid": {"M": grid.M, "L": grid.L, "N_dims": grid.N_dims},
         "group": {"name": config.group.name, "order": config.group.order},
         "tol": config.tol,
-        "step": config.step,
         "max_iters": config.max_iters,
         "stalled": stalled,
         **counts,
@@ -415,12 +392,10 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         "time_per_iteration": elapsed / max(iters, 1),
     }
     return Solution(
-        u=field_u,
+        u=Field(grid, u),
         energy=_action(ev.Q, ev.D, p),
         residual=residual,
         iterations=iters,
-        nodal_count=nodal,
-        decay_slope=slope,
         converged=residual <= config.tol,
         metadata=meta,
     )

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
+from .params import riesz_constant
+
 _WORKERS = 1
 
 
@@ -220,8 +222,6 @@ def build_riesz_kernel(grid: Grid, alpha: float) -> Field:
     The singular origin cell is replaced by the analytic average of the
     kernel over that cell, so the convolution quadrature stays second order.
     """
-    from .params import riesz_constant
-
     N = grid.N_dims
     if not 0.0 < alpha < N:
         raise ValueError(f"alpha must lie in (0, N)={N}; got {alpha}")

@@ -50,7 +50,11 @@ def test_nodal_quadrant_pattern():
     g = Grid(2, 32, 10.0)
     x = g.coords()
     u = Field(g, np.sin(2.0 * np.pi * x[0] / g.L) * np.sin(2.0 * np.pi * x[1] / g.L))
-    assert nodal_domains(u).count == 4
+    rep = nodal_domains(u)
+    assert rep.count == 4
+    # four congruent quadrants that hold every node above threshold
+    assert len(set(rep.component_sizes)) == 1
+    assert sum(rep.component_sizes) == int(np.sum(np.abs(u.values) > rep.threshold))
 
 
 def test_nodal_invariances():
@@ -225,7 +229,7 @@ def test_solve_level_reuses_conjugate_class(mirror, source, table24):
     want = cached.u.values.ravel()[_index_table(g, S)].reshape(g.shape)
     assert np.array_equal(sol.u.values, want)
     assert np.array_equal(symmetrize(sol.u, G).values, sol.u.values)
-    assert sol.nodal_count == cached.nodal_count
+    assert nodal_domains(sol.u).count == nodal_domains(cached.u).count
     direct = solve(SolverConfig(params=PARAMS, grid=g, group=G), init_saddle(g, G, PARAMS))
     assert sol.converged == direct.converged == (source == "A1")
     assert sol.energy == pytest.approx(direct.energy, rel=1e-8)

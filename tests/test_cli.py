@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from fracsaddle import cli
+from fracsaddle.analysis import nodal_domains
 from fracsaddle.cli import main
 from fracsaddle.fieldio import (
     ConfigError,
@@ -159,7 +161,14 @@ def test_cli_groundstate_run(tmp_path, capsys):
     assert "converged=True" in capsys.readouterr().out
 
 
-def test_cli_saddle_run(tmp_path):
+def test_cli_saddle_run(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(u, *args):
+        calls.append(u)
+        return nodal_domains(u, *args)
+
+    monkeypatch.setattr(cli, "nodal_domains", counted)
     outdir = tmp_path / "run"
     cfg = base_config(outdir, group={"name": "A1"})
     cfg["grid"] = {"M": 16, "L": 10.0}
@@ -168,6 +177,15 @@ def test_cli_saddle_run(tmp_path):
     report = json.loads((outdir / "A1_report.json").read_text())
     assert report["nodal_report"]["count"] == 2
     assert report["constant_sign_on_chamber"] is True
+    # the field is labelled once, for both the count and the nodal report
+    assert len(calls) == 1
+    assert list(report) == ["energy", "residual", "iterations", "nodal_count", "decay_slope",
+                            "converged", "config", "metadata", "nodal_report",
+                            "constant_sign_on_chamber"]
+    assert report["nodal_count"] == report["nodal_report"]["count"] == 2
+    # at M = 16 the fit window [0.2 L, 0.4 L] holds only 3 shells
+    assert report["decay_slope"] is None
+    assert "nodal=2" in capsys.readouterr().out
 
 
 def test_cli_decay(tmp_path, capsys):
@@ -258,6 +276,12 @@ def test_cli_error_exits(tmp_path, capsys):
     bad["problem"]["zzz"] = 1
     path = write_json(tmp_path / "bad.json", bad)
     assert main(["info", "--config", path]) == 1
+    # the descent step is fixed at 1; a config that still sets it is refused
+    bad = base_config(tmp_path)
+    bad["solver"]["step"] = 1.0
+    path = write_json(tmp_path / "step.json", bad)
+    assert main(["groundstate", "--config", path]) == 1
+    assert "unknown key(s) in 'solver': ['step']" in capsys.readouterr().err
     # wrong group kind for the command
     cfg = base_config(tmp_path, group={"name": "A1"})
     path = write_json(tmp_path / "g.json", cfg)

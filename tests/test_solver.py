@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracsaddle.analysis import sign_on_fundamental_domain
+from fracsaddle.analysis import nodal_domains, sign_on_fundamental_domain
 from fracsaddle.coxeter import generate_group, named_group
 from fracsaddle import solver, spectral
 from fracsaddle.energy import energy, gradient, interaction, nehari_energy
@@ -158,6 +158,14 @@ def test_init_saddle_validation():
         init_saddle(g, named_group("trivial"), PARAMS)
 
 
+def test_init_saddle_collapses_below_grid_scale():
+    # bumps of width R/2 = 0.025 fall between nodes h = 0.625 apart, and the
+    # node at their midpoint is on the wall: the odd class keeps nothing
+    g = Grid(3, 16, 10.0)
+    with pytest.raises(CollapseToZero):
+        init_saddle(g, named_group("A1"), PARAMS, R=0.05)
+
+
 def test_solver_config_validation():
     g = Grid(3, 8, 4.0)
     G = named_group("trivial")
@@ -234,7 +242,7 @@ def test_solve_groundstate_alpha1():
     g = Grid(3, 32, 12.0)
     sol = solve(SolverConfig(params=P, grid=g, group=named_group("trivial")), init_groundstate(g, P))
     assert sol.converged
-    assert sol.nodal_count == 1
+    assert nodal_domains(sol.u).count == 1
     assert sol.energy > 0.0
     assert _pohozaev_residual(sol.u, P) <= 6e-3
 
@@ -256,7 +264,7 @@ def test_solve_beyond_p2_and_s_half(s, alpha, p, name, M, L, pohozaev):
     u0 = init_groundstate(g, P) if G.is_trivial() else init_saddle(g, G, P)
     sol = solve(SolverConfig(params=P, grid=g, group=G), u0)
     assert sol.converged
-    assert sol.nodal_count == G.order
+    assert nodal_domains(sol.u).count == G.order
     if not G.is_trivial():
         assert sign_on_fundamental_domain(sol.u, G)
     assert _pohozaev_residual(sol.u, P) <= pohozaev
@@ -314,7 +322,7 @@ def test_solve_saddle_rank_beyond_two(name, pohozaev, solves24):
     G = named_group(name)
     sol = solves24(name)
     assert sol.converged
-    assert sol.nodal_count == G.order
+    assert nodal_domains(sol.u).count == G.order
     assert sign_on_fundamental_domain(sol.u, G)
     assert _pohozaev_residual(sol.u, PARAMS) <= pohozaev
 
