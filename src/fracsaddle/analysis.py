@@ -132,14 +132,15 @@ class EnergyTable:
 def _facet_candidates(G: CoxeterGroup):
     """Representative points whose orbits bound the saddle level from above.
 
-    One representative through the chamber interior (the two-bump route for
-    rank one) and one in the relative interior of each wall (the dominant
-    route for rank two and up).
+    Unit points, one through the chamber interior (the two-bump route for
+    rank one, stabilizer trivial) and one in the relative interior of each
+    wall (the dominant route for rank two and up, stabilizer that wall's
+    reflection).  They are continuous points, not grid nodes: rounding one
+    to the grid can move it onto a smaller face and enlarge its stabilizer.
     """
     C = G.chamber()
     q = C.interior_point()
     cands = [q / np.linalg.norm(q)]
-    k = C.normals.shape[1]
     for i, n in enumerate(C.normals):
         x = q - (np.dot(q, n) / np.dot(n, n)) * n
         nx = np.linalg.norm(x)
@@ -152,14 +153,6 @@ def _facet_candidates(G: CoxeterGroup):
         if ok:
             cands.append(x)
     return cands
-
-
-def _snap_to_lattice(grid, x_k):
-    """Nearest lattice point to the radius-L/4 scaling of a unit direction."""
-    target = (grid.L / 4.0) * x_k
-    nodes = grid.axis_nodes()
-    snapped = np.array([nodes[np.argmin(np.abs(nodes - t))] for t in target])
-    return snapped
 
 
 def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = None):
@@ -219,7 +212,9 @@ def _conjugate(sol, S: np.ndarray, cfg: SolverConfig):
 
 def energy_table(configs, cache: dict | None = None) -> EnergyTable:
     """One row per config: the symmetric level c_G against the cheapest
-    breakup level c*_G = min |O_x| c_{S_x} over facet representatives.
+    breakup level c*_G = min |O_x| c_{S_x} over the facet representatives x
+    of _facet_candidates, with O_x the orbit and S_x the stabilizer of x
+    itself, so |O_x| |S_x| = |G|.
 
     verified requires every involved solve to converge and the strict chain
     to hold with margin above 5% of c_G.  A shared `cache` dict (see
@@ -252,15 +247,8 @@ def energy_table(configs, cache: dict | None = None) -> EnergyTable:
         interior_orbit = G.order
         c_star = float("inf")
         for idx, x in enumerate(_facet_candidates(G)):
-            # snap to the lattice when that keeps the orbit/stabilizer
-            # structure intact (Lagrange count), else keep the continuous point
-            x_lattice = _snap_to_lattice(cfg.grid, x)
-            orb = G.orbit(x_lattice)
-            S = G.stabilizer(x_lattice)
-            if len(orb) * S.order != G.order or (idx == 0 and S.order != 1):
-                orb = G.orbit(x)
-                S = G.stabilizer(x)
-            sub = solve_level(S, cfg, cache)
+            orb = G.orbit(x)
+            sub = solve_level(G.stabilizer(x), cfg, cache)
             all_conv = all_conv and sub.converged
             cand = len(orb) * sub.energy
             if idx == 0:

@@ -167,8 +167,6 @@ def cmd_decay(args) -> int:
 
 def cmd_extension_check(args) -> int:
     cfg = _prepare(args, allow_s_list=True)
-    prob = cfg["raw_problem"]
-    svals = prob["s"] if isinstance(prob["s"], list) else [prob["s"]]
     grid = cfg["grid"]
     J = 256
     seed = cfg["solver"]["seed"] if args.seed is None else args.seed
@@ -181,7 +179,7 @@ def cmd_extension_check(args) -> int:
     yg = YGrid.graded(J, default_y_max(grid))
     rows = []
     ok = True
-    for s in (float(x) for x in svals):
+    for s in cfg["s_values"]:
         lhs, rhs, ratio = energy_identity_check(u, s, yg)
         rows.append((s, J, lhs, rhs, ratio))
         ok = ok and abs(ratio - 1.0) <= 0.02
@@ -219,15 +217,12 @@ def main(argv=None) -> int:
     spectral.set_threads(args.threads)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CollapseToZero as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -51,12 +51,13 @@ def _number(where: str, value, integer: bool = False):
 def load_config(path, allow_s_list=False) -> dict:
     """Parse and validate a run configuration file.
 
-    Returns a resolved dict with keys params, grid, group, solver, output;
-    group resolution is deferred to resolve_group so the table command can
-    accept a list of names.  With allow_s_list the problem section may give
-    's' as a list (for sweeps over the fractional order); params then carries
-    the first value and every listed value is checked against the norm-side
-    constraints only.
+    Returns a resolved dict with keys params, grid, group_spec, solver,
+    output and s_values; group resolution is deferred to resolve_group so
+    the table command can accept a list of names.  With allow_s_list the
+    problem section may give 's' as a list (for sweeps over the fractional
+    order); params then carries the first value and every listed value is
+    checked against the norm-side constraints only.  s_values holds the
+    validated values of 's' as floats, a single one when 's' is a number.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -123,7 +124,7 @@ def load_config(path, allow_s_list=False) -> dict:
         "group_spec": raw.get("group", {"name": "trivial"}),
         "solver": solver,
         "output": output,
-        "raw_problem": prob,
+        "s_values": s_values,
     }
 
 

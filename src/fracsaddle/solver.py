@@ -268,16 +268,18 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     least-squares fit of f by dF.  A candidate is accepted, and rescaled
     onto the Nehari set, only if its interaction D is positive and its
     closed-form Nehari energy is below the current one.  A rejected mix
-    clears the history and falls back to the plain step w, halved up to 30
-    times.  Convergence is declared on the plain L^2 gradient residual
-    projected orthogonal to the ray direction.  The returned residual and
-    converged flag are those of the returned field, also when the loop
-    stops at max_iters after a step.
+    clears the history and falls back to the plain step w under the same
+    test; the Petviashvili step needs no step control inside the basin
+    (Pelinovsky & Stepanyants 2004), so if w fails too the solve stops with
+    metadata["stalled"] set.  Convergence is declared on the plain L^2
+    gradient residual projected orthogonal to the ray direction.  The
+    returned residual and converged flag are those of the returned field,
+    also when the loop stops at max_iters after a step.
 
     metadata["trace"] holds, per iteration, the residual and the Nehari
     energy of the iterate the iteration starts from, and the kind of step
-    taken ("mixed", "plain", "halved", or None when the iteration converged
-    or stalled); the counters hold the accepted and rejected mixes and the
+    taken ("mixed", "plain", or None when the iteration converged or
+    stalled); the counters hold the accepted and rejected mixes and the
     functional evaluations (one padded convolution each).
     """
     t_start = time.perf_counter()
@@ -355,18 +357,12 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
                 counts["mixes_rejected"] += 1
                 stored = 0
         if not found:
-            tau, cand = 1.0, w
-            for halving in range(31):
-                if halving:
-                    tau *= 0.5
-                    cand = project(u - tau * d)
-                cn = float(np.sum(cand**2))
-                if cn * grid.cellvol < _ZERO_TOL**2:
-                    raise CollapseToZero("iterate symmetrized to zero")
-                found = descends(cand)
-                if found:
-                    kind = "halved" if halving else "plain"
-                    break
+            if float(np.sum(w**2)) * grid.cellvol < _ZERO_TOL**2:
+                raise CollapseToZero("iterate symmetrized to zero")
+            cand = w
+            found = descends(cand)
+            if found:
+                kind = "plain"
         trace["step"].append(kind)
         if not found:
             stalled = True

@@ -1,5 +1,6 @@
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,6 +176,23 @@ def test_energy_table_small(tmp_path):
     assert rows[1]["verified"] in ("true", "false")
 
 
+def test_energy_table_takes_stabilizers_of_continuous_facet_points(monkeypatch):
+    # at M = 12, L = 8 the grid node nearest to (L/4) x, for x a B3 wall
+    # point, lies on a codimension-2 face, whose stabilizer has order 4, not 2
+    levels = []
+
+    def stub(group, base, cache=None):
+        levels.append(group.order)
+        return SimpleNamespace(energy=1.0, converged=True)
+
+    monkeypatch.setattr(analysis, "solve_level", stub)
+    cfg = SolverConfig(params=PARAMS, grid=Grid(3, 12, 8.0), group=named_group("B3"))
+    (row,) = energy_table([cfg]).rows
+    assert levels == [48, 1, 2, 2, 2]
+    assert row.orbit_size == 48
+    assert row.c_star == 24.0
+
+
 @pytest.fixture(scope="module")
 def table24():
     """The M=24 table over trivial, A1, A1xA1, B2, its cache and its solve count."""
@@ -207,9 +225,10 @@ def test_energy_table_solves_each_conjugacy_class_once(table24):
 # x3 mirror needs a 3-cycle, where S and S^T differ, so swapping them would
 # put the reused field outside its class.  The anti-diagonal mirror needs a
 # negation whose -L/2 face layer is not pinned, which the padded convolution
-# does not see as a symmetry: its direct solve stalls at residual 2.5e-5 and
-# the reused field measures 3.5e-5, so both report not converged, with
-# energies 2.5e-10 apart.
+# does not see as a symmetry: its direct solve stalls after 58 iterations
+# and 77 evaluations at residual 2.45e-5, and the reused field measures
+# 3.47e-5, so both report not converged, with energies 3.8e-10 apart
+# (relative).
 @pytest.mark.parametrize("mirror, source", [
     ([[1, 0], [0, -1]], "A1"),
     ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], "A1"),

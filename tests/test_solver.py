@@ -299,11 +299,23 @@ def test_solve_descent_invariants(name, solves24):
     assert trace["energy"][-1] == pytest.approx(sol.energy, rel=1e-12)
     steps = trace["step"]
     assert steps[-1] is None and None not in steps[:-1]
-    assert set(steps[:-1]) <= {"mixed", "plain", "halved"}
+    assert set(steps[:-1]) <= {"mixed", "plain"}
     assert meta["mixes_accepted"] == steps.count("mixed")
     # one evaluation for the start, one per trial: a rejected mix costs one more
-    assert "halved" not in steps
     assert meta["evaluations"] == sol.iterations + meta["mixes_rejected"]
+
+
+def test_solve_stall_costs_one_evaluation():
+    # tol 1e-9 is below the rounding floor of the Nehari energy here: the
+    # plain step stops descending after 21 iterations at residual 7.8e-9
+    g = Grid(3, 24, 18.0)
+    G = named_group("trivial")
+    sol = solve(SolverConfig(params=PARAMS, grid=g, group=G, tol=1e-9), init_groundstate(g, PARAMS))
+    meta = sol.metadata
+    assert meta["stalled"] and not sol.converged
+    assert meta["trace"]["step"][-1] is None
+    # the start, one trial per step, one per rejected mix and the failed plain step
+    assert meta["evaluations"] == sol.iterations + meta["mixes_rejected"] + 1
 
 
 def test_solve_groundstate_is_accelerated(solves24):
