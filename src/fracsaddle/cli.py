@@ -172,7 +172,8 @@ def cmd_extension_check(args) -> int:
     seed = cfg["solver"]["seed"] if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape)
-    smooth = spectral.ifftn(spectral.fftn(noise) * np.exp(-0.5 * grid.freq_norm_sq())).real
+    damp = np.exp(-0.5 * grid.half_freq_norm_sq())
+    smooth = spectral.irfftn(spectral.rfftn(noise) * damp, grid.shape)
     u = spectral.Field(grid, smooth)
     outdir = Path(cfg["output"]["dir"])
     outdir.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,10 @@ into the boundary flux of a local degenerate-elliptic problem with weight
 y^{1-2s}.  Spectrally the construction is diagonal: each Fourier mode of u
 is damped by the universal profile psi evaluated at |xi| y, so the whole
 extension costs one transform per y slice, and psi is evaluated once per
-distinct |xi| per slice (648 radii on a 32^3 grid, not 32768 nodes).
+distinct |xi| per slice (648 radii on a 32^3 grid, not 32768 nodes).  Every
+field here is real, so the slices are written by real inverse transforms from
+the rfftn half spectrum, and the Dirichlet sums run over that half with
+Hermitian weights (spectral.half_parseval_sum).
 
 psi is used through its closed form in terms of the modified Bessel
 function K_s, but the closed form is not taken on faith: psi_ode_solution
@@ -24,7 +27,7 @@ from scipy.special import kv
 from .coxeter import CoxeterGroup
 from .params import extension_constant
 from .solver import get_action
-from .spectral import Field, Grid, fftn, ifftn, seminorm_sq
+from .spectral import Field, Grid, fftn, half_parseval_sum, irfftn, rfftn, seminorm_sq
 
 
 @dataclass(frozen=True)
@@ -145,18 +148,21 @@ def psi_ode_solution(s: float, y_eval: np.ndarray) -> np.ndarray:
 def harmonic_extend(u: Field, s: float, ygrid: YGrid) -> ExtensionField:
     """Multiply each mode by psi(|xi| y_j); the trace slice is u itself.
 
-    psi is evaluated once per distinct |xi| and gathered back onto the grid,
-    on the same floats as a per-node evaluation, so the result is bitwise
-    the same.  The slices are stored slice-major, so each values[..., j] is
-    contiguous.
+    Each slice is the real inverse transform of the damped rfftn half
+    spectrum.  psi is evaluated once per distinct |xi| on that half and
+    gathered back onto it, on the same floats as a per-node evaluation, so
+    the result is bitwise the same.  The slices are stored slice-major, so
+    each values[..., j] is contiguous.
     """
     grid = u.grid
-    uhat = fftn(u.values)
-    radii, inverse = np.unique(np.sqrt(grid.freq_norm_sq()), return_inverse=True)
-    inverse = inverse.reshape(grid.shape)  # numpy < 2 returns it flat
+    # complex fftn, halved: perfbench/test_perfbench.py names this binding
+    uhat = np.ascontiguousarray(fftn(u.values)[..., : grid.M // 2 + 1])
+    k2 = grid.half_freq_norm_sq()
+    radii, inverse = np.unique(np.sqrt(k2), return_inverse=True)
+    inverse = inverse.reshape(k2.shape)  # numpy < 2 returns it flat
     buf = np.empty((ygrid.J,) + grid.shape)
     for j, y in enumerate(ygrid.nodes):
-        buf[j] = ifftn(psi_profile(s, radii * y)[inverse] * uhat).real
+        buf[j] = irfftn(psi_profile(s, radii * y)[inverse] * uhat, grid.shape)
     return ExtensionField(grid, ygrid, np.moveaxis(buf, 0, -1), u.copy())
 
 
@@ -180,12 +186,10 @@ def extension_energy(U: ExtensionField, s: float) -> float:
     grid, ygrid = U.base, U.ygrid
     J = ygrid.J
     w = _cell_weights(ygrid, s)
-    pw = grid.cellvol / grid.n_nodes
-    k2 = grid.freq_norm_sq()
+    k2 = grid.half_freq_norm_sq()
 
     def slice_dirichlet(v):
-        vh = fftn(v)
-        return pw * float(np.sum(k2 * (vh.real**2 + vh.imag**2)))
+        return half_parseval_sum(grid, rfftn(v), k2)
 
     A = np.empty(J + 1)
     A[0] = slice_dirichlet(U.trace.values)

@@ -5,7 +5,9 @@ The whole-space problem is truncated to the box [-L/2, L/2)^N with M nodes
 per axis, x_j = -L/2 + j L/M.  Frequencies are the angular wavenumbers
 xi = 2 pi m / L, m in {-M/2, ..., M/2 - 1}, so the multiplier of
 (-Delta)^s is |xi|^{2s} verbatim.  Discrete integrals carry the quadrature
-weight (L/M)^N and Parseval holds with that weight.
+weight (L/M)^N and Parseval holds with that weight.  Fields are real, so the
+Parseval norms sum over the half spectrum that rfftn keeps, with the
+Hermitian weights of half_parseval_sum.
 
 The Riesz convolution K_alpha * f is computed as a linear (non-circular)
 convolution: f is zero-padded onto a doubled grid covering [-L, L)^N and
@@ -92,6 +94,13 @@ class Grid:
         grids = np.meshgrid(*([xi] * self.N_dims), indexing="ij", sparse=True)
         return sum(g**2 for g in grids)
 
+    def half_freq_norm_sq(self) -> np.ndarray:
+        """|xi|^2 on the rfftn half spectrum: last-axis bins 0..M/2.
+
+        Bin M/2 holds -M/2 in fftfreq order; squared, it is the Nyquist bin.
+        """
+        return np.ascontiguousarray(self.freq_norm_sq()[..., : self.M // 2 + 1])
+
     def doubled(self) -> "Grid":
         return Grid(self.N_dims, 2 * self.M, 2 * self.L)
 
@@ -122,6 +131,27 @@ def ifftn(a: np.ndarray) -> np.ndarray:
     return sfft.ifftn(a, workers=_WORKERS)
 
 
+def rfftn(a: np.ndarray) -> np.ndarray:
+    return sfft.rfftn(a, workers=_WORKERS)
+
+
+def irfftn(a: np.ndarray, shape) -> np.ndarray:
+    return sfft.irfftn(a, s=shape, workers=_WORKERS)
+
+
+def half_parseval_sum(grid: Grid, vhat: np.ndarray, symbol: np.ndarray) -> float:
+    """(cellvol / n_nodes) * sum of symbol |v^|^2 over the full spectrum of a
+    real field v, from its rfftn half vhat and an even symbol on that half.
+
+    Each last-axis bin 1..M/2-1 stands for itself and its Hermitian mirror,
+    so it counts twice; bin 0 and the Nyquist bin M/2 are their own mirrors
+    and count once.
+    """
+    p = symbol * (vhat.real**2 + vhat.imag**2)
+    total = 2.0 * np.sum(p) - np.sum(p[..., 0]) - np.sum(p[..., -1])
+    return float(grid.cellvol / grid.n_nodes * total)
+
+
 def multiplier(grid: Grid, s: float) -> np.ndarray:
     """The symbol |xi|^{2s} on the discrete frequency lattice (zero at xi=0)."""
     return grid.freq_norm_sq() ** s
@@ -135,24 +165,22 @@ def fractional_laplacian(u: Field, s: float) -> Field:
     return Field(u.grid, out)
 
 
-def _parseval_sum(u: Field, symbol: np.ndarray) -> float:
-    uhat = fftn(u.values)
-    w = u.grid.cellvol / u.grid.n_nodes
-    return float(w * np.sum(symbol * (uhat.real**2 + uhat.imag**2)))
+def _parseval_sum(u: Field, s: float, shift: float) -> float:
+    """Parseval sum of (shift + |xi|^{2s}) |u^|^2 over the half spectrum."""
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"s must lie in (0, 1]; got {s}")
+    symbol = shift + u.grid.half_freq_norm_sq() ** s
+    return half_parseval_sum(u.grid, rfftn(u.values), symbol)
 
 
 def hs_norm_sq(u: Field, s: float) -> float:
     """||u||^2_{L^2} + ||(-Delta)^{s/2} u||^2_{L^2} by Parseval."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must lie in (0, 1]; got {s}")
-    return _parseval_sum(u, 1.0 + multiplier(u.grid, s))
+    return _parseval_sum(u, s, 1.0)
 
 
 def seminorm_sq(u: Field, s: float) -> float:
     """||(-Delta)^{s/2} u||^2_{L^2} by Parseval."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must lie in (0, 1]; got {s}")
-    return _parseval_sum(u, multiplier(u.grid, s))
+    return _parseval_sum(u, s, 0.0)
 
 
 def l2_norm_sq(u: Field) -> float:

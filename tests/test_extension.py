@@ -17,7 +17,7 @@ from fracsaddle.extension import (
     trace_inequality_check,
 )
 from fracsaddle.solver import symmetrize
-from fracsaddle.spectral import Field, Grid, fftn, ifftn, seminorm_sq
+from fracsaddle.spectral import Field, Grid, fftn, ifftn, irfftn, seminorm_sq
 
 
 def smooth_field(grid, rng, width=0.5):
@@ -103,11 +103,26 @@ def test_harmonic_extend_matches_pointwise_profile(s, rng):
     yg = YGrid.graded(64, default_y_max(g))
     U = harmonic_extend(u, s, yg)
     assert U.values.shape == g.shape + (64,)
+    xi = np.sqrt(g.half_freq_norm_sq())
+    uhat = fftn(u.values)[..., : g.M // 2 + 1]
+    for j in (0, 1, 17, 40, 63):
+        want = irfftn(psi_profile(s, xi * yg.nodes[j]) * uhat, g.shape)
+        assert np.array_equal(U.values[..., j], want)
+
+
+@pytest.mark.parametrize("N, M", [(3, 12), (2, 16)])
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_harmonic_extend_matches_complex_transforms(N, M, s, rng):
+    # the real inverse from the half spectrum is the complex inverse's real part
+    g = Grid(N, M, 8.0)
+    u = smooth_field(g, rng)
+    yg = YGrid.graded(64, default_y_max(g))
+    U = harmonic_extend(u, s, yg)
     xi = np.sqrt(g.freq_norm_sq())
     uhat = fftn(u.values)
-    for j in (0, 1, 17, 40, 63):
+    for j in range(yg.J):
         want = ifftn(psi_profile(s, xi * yg.nodes[j]) * uhat).real
-        assert np.array_equal(U.values[..., j], want)
+        assert np.abs(U.values[..., j] - want).max() <= 1e-14 * np.abs(u.values).max()
 
 
 def test_extension_field_shape_check():

@@ -12,10 +12,12 @@ from fracsaddle.spectral import (
     fractional_laplacian,
     gagliardo_norm_sq,
     get_threads,
+    half_parseval_sum,
     hs_norm_sq,
     l2_norm_sq,
     multiplier,
     origin_cell_average,
+    rfftn,
     riesz_convolve,
     seminorm_sq,
     set_threads,
@@ -115,6 +117,21 @@ def test_norm_decomposition(rng):
     lu = fractional_laplacian(u, s)
     quad = g.cellvol * np.sum(lu.values * u.values)
     assert seminorm_sq(u, s) == pytest.approx(quad, rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_half_parseval_sum_matches_full_spectrum(N, rng):
+    # power in the last-axis bin-0 and Nyquist planes, which count once
+    g = Grid(N, 8, 5.0)
+    last = np.arange(g.M).reshape((1,) * (N - 1) + (g.M,))
+    u = rng.standard_normal(g.shape) + 3.0 + 2.0 * (-1.0) ** last
+    full = fftn(u)
+    assert np.abs(full[..., 0]).max() > g.n_nodes
+    assert np.abs(full[..., g.M // 2]).max() > g.n_nodes
+    symbol = 1.0 + g.freq_norm_sq() ** 0.5
+    want = g.cellvol / g.n_nodes * np.sum(symbol * np.abs(full) ** 2)
+    got = half_parseval_sum(g, rfftn(u), 1.0 + g.half_freq_norm_sq() ** 0.5)
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_l2_norm_of_constant():
