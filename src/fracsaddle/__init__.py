@@ -38,7 +38,6 @@ from .extension import (
     extend_symmetry_check,
     extension_energy,
     harmonic_extend,
-    psi_ode_solution,
     psi_profile,
     trace_inequality_check,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "nehari_energy",
     "nehari_scale",
     "nodal_domains",
-    "psi_ode_solution",
     "psi_profile",
     "read_field",
     "resolve_group",

@@ -9,19 +9,20 @@ extension costs one transform per y slice, and psi is evaluated once per
 distinct |xi| per slice (648 radii on a 32^3 grid, not 32768 nodes).  Every
 field here is real, so the slices are written by real inverse transforms from
 the rfftn half spectrum, and the Dirichlet sums run over that half with
-Hermitian weights (spectral.half_parseval_sum).
+Hermitian weights (spectral.half_parseval_sum).  The audits stream the
+slices: the energy identity holds two consecutive slices at a time, never
+the J of them.
 
 psi is used through its closed form in terms of the modified Bessel
-function K_s, but the closed form is not taken on faith: psi_ode_solution
+function K_s, but the closed form is not taken on faith: the test suite
 integrates the defining ODE psi'' + ((1-2s)/y) psi' = psi backward from the
-decaying end and the test suite compares the two on (0, 50].
+decaying end and compares the two on (0, 50].
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import kv
 
 from .coxeter import CoxeterGroup
@@ -100,59 +101,13 @@ def psi_profile(s: float, y):
     return float(out[0]) if scalar else out
 
 
-def psi_ode_solution(s: float, y_eval: np.ndarray) -> np.ndarray:
-    """Independent profile: integrate psi'' + ((1-2s)/y) psi' = psi backward
-    from the decaying end, then normalize to psi(0) = 1 via the Frobenius
-    split w(y) = A + B y^{2s} near the origin.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1); got {s}")
-    y_eval = np.asarray(y_eval, dtype=np.float64)
-    y_hi = 50.0
-    if y_eval.size == 0 or y_eval.min() <= 0.0 or y_eval.max() > y_hi:
-        raise ValueError("y_eval must lie within (0, 50]")
-    y_lo = min(1e-6, 0.5 * float(y_eval.min()))
-
-    def rhs(y, w):
-        return [w[1], w[0] - (1.0 - 2.0 * s) / y * w[1]]
-
-    # decaying end: w ~ y^{s-1/2} e^{-y}, so w'/w = (s-1/2)/y - 1
-    w0 = [1.0, (s - 0.5) / y_hi - 1.0]
-    pts = np.unique(np.concatenate([y_eval[y_eval <= y_hi], [y_lo, 2.0 * y_lo]]))
-    sol = solve_ivp(
-        rhs,
-        (y_hi, y_lo),
-        w0,
-        t_eval=pts[::-1],
-        rtol=1e-12,
-        atol=1e-300,
-        method="DOP853",
-    )
-    if not sol.success:
-        raise RuntimeError(f"profile integration failed: {sol.message}")
-    ys, ws = sol.t[::-1], sol.y[0][::-1]
-    y1, y2 = ys[0], ys[1]
-    w1, w2 = ws[0], ws[1]
-    A = (w1 * y2 ** (2.0 * s) - w2 * y1 ** (2.0 * s)) / (
-        y2 ** (2.0 * s) - y1 ** (2.0 * s)
-    )
-    lookup = dict(zip(ys.tolist(), (ws / A).tolist()))
-    out = np.empty_like(y_eval)
-    for i, y in enumerate(y_eval):
-        out[i] = lookup[y] if y in lookup else math.nan
-    if np.any(np.isnan(out)):
-        raise ValueError("y_eval must lie within (0, 50]")
-    return out
-
-
-def harmonic_extend(u: Field, s: float, ygrid: YGrid) -> ExtensionField:
-    """Multiply each mode by psi(|xi| y_j); the trace slice is u itself.
+def _harmonic_slices(u: Field, s: float, ygrid: YGrid):
+    """Yield the extension's slices U(., y_j), j = 1..J, in order.
 
     Each slice is the real inverse transform of the damped rfftn half
     spectrum.  psi is evaluated once per distinct |xi| on that half and
     gathered back onto it, on the same floats as a per-node evaluation, so
-    the result is bitwise the same.  The slices are stored slice-major, so
-    each values[..., j] is contiguous.
+    the result is bitwise the same.
     """
     grid = u.grid
     # complex fftn, halved: perfbench/test_perfbench.py names this binding
@@ -160,10 +115,19 @@ def harmonic_extend(u: Field, s: float, ygrid: YGrid) -> ExtensionField:
     k2 = grid.half_freq_norm_sq()
     radii, inverse = np.unique(np.sqrt(k2), return_inverse=True)
     inverse = inverse.reshape(k2.shape)  # numpy < 2 returns it flat
-    buf = np.empty((ygrid.J,) + grid.shape)
-    for j, y in enumerate(ygrid.nodes):
-        buf[j] = irfftn(psi_profile(s, radii * y)[inverse] * uhat, grid.shape)
-    return ExtensionField(grid, ygrid, np.moveaxis(buf, 0, -1), u.copy())
+    for y in ygrid.nodes:
+        yield irfftn(psi_profile(s, radii * y)[inverse] * uhat, grid.shape)
+
+
+def harmonic_extend(u: Field, s: float, ygrid: YGrid) -> ExtensionField:
+    """Multiply each mode by psi(|xi| y_j); the trace slice is u itself.
+
+    The slices are stored slice-major, so each values[..., j] is contiguous.
+    """
+    buf = np.empty((ygrid.J,) + u.grid.shape)
+    for j, v in enumerate(_harmonic_slices(u, s, ygrid)):
+        buf[j] = v
+    return ExtensionField(u.grid, ygrid, np.moveaxis(buf, 0, -1), u.copy())
 
 
 def _cell_weights(ygrid: YGrid, s: float) -> np.ndarray:
@@ -173,45 +137,50 @@ def _cell_weights(ygrid: YGrid, s: float) -> np.ndarray:
     return np.diff(edges**e) / e
 
 
-def extension_energy(U: ExtensionField, s: float) -> float:
-    """Weighted Dirichlet energy: integral of y^{1-2s} |grad U|^2.
+def _slices_energy(trace: Field, slices, ygrid: YGrid, s: float) -> float:
+    """Weighted Dirichlet energy of the J slices above trace, in one pass.
 
-    x derivatives are spectral per slice; the y derivative uses cell
-    difference quotients, except in the first cell where U - trace follows
-    the y^{2s} Frobenius branch and the weighted integral is done in closed
-    form on that ansatz (a plain quotient loses the boundary layer).
+    Only the previous slice is kept.  x derivatives are spectral per slice;
+    the y derivative uses cell difference quotients, except in the first
+    cell where U - trace follows the y^{2s} Frobenius branch and the weighted
+    integral is done in closed form on that ansatz (a plain quotient loses
+    the boundary layer).
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1); got {s}")
-    grid, ygrid = U.base, U.ygrid
-    J = ygrid.J
+    grid = trace.grid
+    y = ygrid.nodes
     w = _cell_weights(ygrid, s)
     k2 = grid.half_freq_norm_sq()
-
-    def slice_dirichlet(v):
-        return half_parseval_sum(grid, rfftn(v), k2)
-
-    A = np.empty(J + 1)
-    A[0] = slice_dirichlet(U.trace.values)
-    for j in range(J):
-        A[j + 1] = slice_dirichlet(U.values[..., j])
+    A = np.empty(ygrid.J + 1)
+    A[0] = half_parseval_sum(grid, rfftn(trace.values), k2)
+    prev = trace.values
+    for j, v in enumerate(slices):
+        A[j + 1] = half_parseval_sum(grid, rfftn(v), k2)
+        if j == 0:
+            d0 = v - prev
+            y_part = 2.0 * s * y[0] ** (-2.0 * s) * grid.cellvol * float(np.sum(d0**2))
+        else:
+            dq = (v - prev) / (y[j] - y[j - 1])
+            y_part += w[j] * grid.cellvol * float(np.sum(dq**2))
+        prev = v
     x_part = float(np.sum(w * 0.5 * (A[:-1] + A[1:])))
-
-    y = ygrid.nodes
-    d0 = U.values[..., 0] - U.trace.values
-    y_part = (
-        2.0 * s * y[0] ** (-2.0 * s) * grid.cellvol * float(np.sum(d0**2))
-    )
-    for j in range(1, J):
-        dq = (U.values[..., j] - U.values[..., j - 1]) / (y[j] - y[j - 1])
-        y_part += w[j] * grid.cellvol * float(np.sum(dq**2))
     return x_part + y_part
+
+
+def extension_energy(U: ExtensionField, s: float) -> float:
+    """Weighted Dirichlet energy: integral of y^{1-2s} |grad U|^2."""
+    slices = (U.values[..., j] for j in range(U.ygrid.J))
+    return _slices_energy(U.trace, slices, U.ygrid, s)
 
 
 def energy_identity_check(u: Field, s: float, ygrid: YGrid):
     """lhs = extension energy of the harmonic extension; rhs = k_s times the
-    spectral seminorm squared; returns (lhs, rhs, ratio)."""
-    lhs = extension_energy(harmonic_extend(u, s, ygrid), s)
+    spectral seminorm squared; returns (lhs, rhs, ratio).
+
+    The slices stream into the energy, so no J-slice extension is stored.
+    """
+    lhs = _slices_energy(u, _harmonic_slices(u, s, ygrid), ygrid, s)
     rhs = extension_constant(s) * seminorm_sq(u, s)
     return lhs, rhs, lhs / rhs
 
@@ -228,15 +197,18 @@ def trace_inequality_check(V: ExtensionField, s: float):
 
 
 def extend_symmetry_check(u: Field, G: CoxeterGroup, s: float, ygrid=None) -> bool:
-    """True iff every slice of the extension inherits u's signed symmetry."""
+    """True iff every slice of the extension inherits u's signed symmetry.
+
+    Slices are checked as they are made, against their own scale, and the
+    check stops at the first one that breaks the symmetry.
+    """
     grid = u.grid
     if ygrid is None:
         ygrid = YGrid.graded(64, default_y_max(grid))
-    U = harmonic_extend(u, s, ygrid)
     action = get_action(grid, G)
-    scale = max(1.0, float(np.abs(U.values).max()))
-    for j in range(ygrid.J):
-        flat = U.values[..., j].ravel()
+    for v in _harmonic_slices(u, s, ygrid):
+        flat = v.ravel()
+        scale = max(1.0, float(np.abs(flat).max()))
         for i in range(G.order):
             img = flat[action.tables[i]]
             if np.abs(img - action.signs[i] * flat).max() > 1e-12 * scale:

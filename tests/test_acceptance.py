@@ -20,7 +20,6 @@ from fracsaddle.extension import (
     default_y_max,
     energy_identity_check,
     harmonic_extend,
-    psi_ode_solution,
     psi_profile,
     trace_inequality_check,
 )
@@ -44,6 +43,8 @@ from fracsaddle.spectral import (
     ifftn,
     riesz_convolve,
 )
+
+from ode_reference import psi_ode_solution
 
 PARAMS = ModelParams(3, 0.5, 2.0, 2.0)
 GROUPS = ["A1", "A1xA1", "A2", "B2", "B3"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from fracsaddle.extension import (
     extend_symmetry_check,
     extension_energy,
     harmonic_extend,
-    psi_ode_solution,
     psi_profile,
     trace_inequality_check,
 )
 from fracsaddle.solver import symmetrize
 from fracsaddle.spectral import Field, Grid, fftn, ifftn, irfftn, seminorm_sq
+
+from ode_reference import psi_ode_solution
 
 
 def smooth_field(grid, rng, width=0.5):
@@ -152,6 +154,24 @@ def test_energy_identity_converges_in_J(rng):
         errs.append(abs(ratio - 1.0))
     assert errs[1] <= 0.7 * errs[0]
     assert errs[2] <= 0.7 * errs[1]
+
+
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_energy_identity_streams_slices(s, rng):
+    # the audit's lhs is the stored extension's energy, bitwise, without
+    # ever holding the J slices that harmonic_extend stores
+    g = Grid(3, 16, 12.0)
+    u = smooth_field(g, rng)
+    yg = YGrid.graded(256, default_y_max(g))
+    buffer_bytes = yg.J * u.values.nbytes
+    tracemalloc.start()
+    try:
+        lhs, _, _ = energy_identity_check(u, s, yg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lhs == extension_energy(harmonic_extend(u, s, yg), s)
+    assert peak < buffer_bytes / 4
 
 
 def test_trace_inequality_harmonic_and_perturbed(rng):

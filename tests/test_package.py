@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fracsaddle
@@ -21,3 +24,18 @@ def test_no_function_local_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    # every run pays for what `import fracsaddle.cli` loads; the package uses
+    # scipy.fft, special and ndimage, and nothing that pulls in these four
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg"]
+    env = dict(os.environ, PYTHONPATH=str(Path(fracsaddle.__file__).parent.parent))
+    code = (
+        "import sys, fracsaddle.cli; "
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
