@@ -6,11 +6,11 @@ of signed reflection groups.  Public surface:
 
   params      problem data and admissibility checks
   coxeter     signed reflection groups acting on the grid
-  spectral    grids, fractional Laplacian, Riesz convolution, norms
+  spectral    grids, fractional Laplacian symbol, Riesz convolution, norms
   energy      action functional, gradient, Nehari algebra
   solver      projected minimization within a symmetry class
   analysis    nodal counts, decay fits, energy comparison tables
-  extension   half-space harmonic extension cross-checks
+  extension   half-space harmonic extension energy audit
   fieldio     config files, field serialization, run reports
 """
 
@@ -31,16 +31,7 @@ from .coxeter import (
     named_group,
 )
 from .energy import EnergyBreakdown, energy, gradient, interaction, nehari_energy, nehari_scale
-from .extension import (
-    ExtensionField,
-    YGrid,
-    energy_identity_check,
-    extend_symmetry_check,
-    extension_energy,
-    harmonic_extend,
-    psi_profile,
-    trace_inequality_check,
-)
+from .extension import YGrid, energy_identity_check, psi_profile
 from .fieldio import ConfigError, load_config, read_field, resolve_group, write_field, write_report
 from .params import ModelParams, admissible, critical_exponent, extension_constant, riesz_constant
 from .solver import (
@@ -49,7 +40,6 @@ from .solver import (
     SolverConfig,
     init_groundstate,
     init_saddle,
-    mountain_pass_check,
     solve,
     symmetrize,
 )
@@ -57,8 +47,6 @@ from .spectral import (
     Field,
     Grid,
     build_riesz_kernel,
-    fractional_laplacian,
-    gagliardo_norm_sq,
     hs_norm_sq,
     l2_norm_sq,
     riesz_convolve,
@@ -75,7 +63,6 @@ __all__ = [
     "CoxeterGroup",
     "EnergyBreakdown",
     "EnergyTable",
-    "ExtensionField",
     "Field",
     "Grid",
     "ModelParams",
@@ -91,21 +78,15 @@ __all__ = [
     "energy",
     "energy_identity_check",
     "energy_table",
-    "extend_symmetry_check",
     "extension_constant",
-    "extension_energy",
-    "fractional_laplacian",
-    "gagliardo_norm_sq",
     "generate_group",
     "gradient",
-    "harmonic_extend",
     "hs_norm_sq",
     "init_groundstate",
     "init_saddle",
     "interaction",
     "l2_norm_sq",
     "load_config",
-    "mountain_pass_check",
     "named_group",
     "nehari_energy",
     "nehari_scale",
@@ -121,7 +102,6 @@ __all__ = [
     "solve",
     "solve_level",
     "symmetrize",
-    "trace_inequality_check",
     "write_field",
     "write_report",
 ]

@@ -53,7 +53,10 @@ def decay_exponent(u: Field, r_min_frac: float = 0.2, r_max_frac: float = 0.4) -
     """Log-log slope of the radial max of |u| over shells of width h.
 
     The window is capped at 0.45 L because minimum-image geometry and the
-    periodic images contaminate radii close to L/2.
+    periodic images contaminate radii close to L/2.  A field whose max |u|
+    sits at or beyond the window's inner edge is refused: the window then
+    cuts through the bump cores, and its slope measures their arrangement,
+    not a tail.
     """
     if not 0.0 < r_min_frac < r_max_frac <= 0.45:
         raise ValueError(
@@ -63,12 +66,18 @@ def decay_exponent(u: Field, r_min_frac: float = 0.2, r_max_frac: float = 0.4) -
     grid = u.grid
     r = grid.radius().ravel()
     a = np.abs(u.values).ravel()
+    lo, hi = r_min_frac * grid.L, r_max_frac * grid.L
+    r_peak = float(r[np.argmax(a)])
+    if r_peak >= lo:
+        raise ValueError(
+            f"max |u| at |x| = {r_peak:.3g} is at or beyond the fit window's "
+            f"inner edge {lo:.3g}, so the window holds no tail"
+        )
     shell = np.floor(r / grid.h).astype(np.int64)
     nsh = int(shell.max()) + 1
     shell_max = np.zeros(nsh)
     np.maximum.at(shell_max, shell, a)
     centers = (np.arange(nsh) + 0.5) * grid.h
-    lo, hi = r_min_frac * grid.L, r_max_frac * grid.L
     sel = (centers >= lo) & (centers <= hi) & (shell_max > 0)
     if sel.sum() < 5:
         raise ValueError(f"only {int(sel.sum())} populated shells in the fit window")

@@ -93,12 +93,13 @@ def _run_and_write(cfg, sc: SolverConfig, initial) -> int:
     sol = solve(sc, initial)
     group = sc.group
     nodal = nodal_domains(sol.u)
+    slope = reason = None
     try:
         slope = decay_exponent(sol.u, 0.2, 0.4)
-    except ValueError:  # fewer than 5 populated shells in the window, e.g. M = 16
-        slope = None
+    except ValueError as exc:  # the window holds bump cores or too few shells
+        reason = str(exc)
     echo = resolved_config_dict(cfg["params"], cfg["grid"], group, cfg["solver"], cfg["output"])
-    report = solution_report(sol, nodal.count, slope, echo)
+    report = solution_report(sol, nodal.count, slope, reason, echo)
     if not group.is_trivial():
         report["nodal_report"] = {
             "count": nodal.count,

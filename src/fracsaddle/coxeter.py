@@ -130,10 +130,6 @@ class Chamber:
     def contains(self, x, tol: float = _DEDUP_TOL) -> bool:
         return bool((self.dots(x) >= -tol).all())
 
-    def active_walls(self, x, tol: float = _DEDUP_TOL) -> np.ndarray:
-        """Indices of walls with <x, n_i> = 0 within tolerance."""
-        return np.flatnonzero(np.abs(self.dots(x)) <= tol)
-
     def interior_point(self) -> np.ndarray:
         """A point with <x, n_i> = 1 for every wall (least-squares solution)."""
         rhs = np.ones(len(self.normals))

@@ -222,15 +222,17 @@ def _json_default(obj):
 
 
 def solution_report(sol, nodal_count: int, decay_slope: float | None,
-                    config_echo: dict) -> dict:
+                    decay_slope_reason: str | None, config_echo: dict) -> dict:
     """The run report: sol's numbers, the diagnostics measured on sol.u, and
-    the config echo; decay_slope is None when the fit window is too thin."""
+    the config echo; decay_slope is None when no tail exponent can be fitted,
+    and decay_slope_reason then says why."""
     return {
         "energy": sol.energy,
         "residual": sol.residual,
         "iterations": sol.iterations,
         "nodal_count": nodal_count,
         "decay_slope": decay_slope,
+        "decay_slope_reason": decay_slope_reason,
         "converged": sol.converged,
         "config": config_echo,
         "metadata": sol.metadata,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .coxeter import CoxeterGroup, _embed
 from .energy import _action, _evaluate, _gradient, _nehari_factor, _nehari_value
+# solve never calls energy(); perfbench/test_perfbench.py names this binding
 from .energy import energy as energy_of, nehari_scale
 from .params import ModelParams, admissible
 from .spectral import _LRU, Field, Grid, fftn, ifftn, multiplier
@@ -395,16 +396,3 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         converged=residual <= config.tol,
         metadata=meta,
     )
-
-
-def mountain_pass_check(sol: Solution, params: ModelParams) -> float:
-    """Max of the fibering ray I(t u) over t in [0, 2], 101 samples.
-
-    By homogeneity I(t u) = t^2 Q/2 - t^{2p} D/(2p), so the whole ray
-    follows from one energy evaluation; the max must sit at t = 1 for a
-    Nehari-projected solution.
-    """
-    bre = energy_of(sol.u, params)
-    ts = np.linspace(0.0, 2.0, 101)
-    ray = _action(ts**2 * (2.0 * bre.quad), ts ** (2.0 * params.p) * bre.nonlocal_, params.p)
-    return float(ray.max())

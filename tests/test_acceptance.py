@@ -15,21 +15,12 @@ import pytest
 from fracsaddle.analysis import decay_exponent, nodal_domains, sign_on_fundamental_domain
 from fracsaddle.coxeter import named_group
 from fracsaddle.energy import energy, gradient, interaction, nehari_energy
-from fracsaddle.extension import (
-    YGrid,
-    default_y_max,
-    energy_identity_check,
-    harmonic_extend,
-    psi_profile,
-    trace_inequality_check,
-)
-from fracsaddle.extension import ExtensionField
+from fracsaddle.extension import YGrid, default_y_max, energy_identity_check, psi_profile
 from fracsaddle.params import ModelParams
 from fracsaddle.solver import (
     SolverConfig,
     get_action,
     init_saddle,
-    mountain_pass_check,
     solve,
     symmetrize,
 )
@@ -38,13 +29,15 @@ from fracsaddle.spectral import (
     Grid,
     build_riesz_kernel,
     fftn,
-    fractional_laplacian,
     hs_norm_sq,
     ifftn,
     riesz_convolve,
 )
 
+from extension_reference import ExtensionField, harmonic_extend, trace_inequality_check
 from ode_reference import psi_ode_solution
+from solver_reference import mountain_pass_check
+from spectral_reference import fractional_laplacian
 
 PARAMS = ModelParams(3, 0.5, 2.0, 2.0)
 GROUPS = ["A1", "A1xA1", "A2", "B2", "B3"]

@@ -88,6 +88,18 @@ def test_decay_gaussian_is_steep():
     assert decay_exponent(u, 0.2, 0.4) < -10.0
 
 
+def test_decay_refuses_bumps_inside_the_window():
+    # B2's bumps at M=24, L=18 peak at |x| = 4.74, past the window's inner
+    # edge 0.2 L = 3.6: the slope there would measure the bumps, not a tail
+    g = Grid(3, 24, 18.0)
+    x = g.coords()
+    c = 4.74 / math.sqrt(2.0)
+    bump = lambda a, b: np.exp(-((x[0] - a) ** 2 + (x[1] - b) ** 2 + x[2] ** 2))
+    u = Field(g, bump(c, c) - bump(-c, -c))
+    with pytest.raises(ValueError, match="inner edge"):
+        decay_exponent(u, 0.2, 0.4)
+
+
 def test_decay_window_validation():
     g = Grid(3, 16, 8.0)
     u = Field(g, np.exp(-g.radius() ** 2))

@@ -180,11 +180,12 @@ def test_cli_saddle_run(tmp_path, monkeypatch, capsys):
     # the field is labelled once, for both the count and the nodal report
     assert len(calls) == 1
     assert list(report) == ["energy", "residual", "iterations", "nodal_count", "decay_slope",
-                            "converged", "config", "metadata", "nodal_report",
-                            "constant_sign_on_chamber"]
+                            "decay_slope_reason", "converged", "config", "metadata",
+                            "nodal_report", "constant_sign_on_chamber"]
     assert report["nodal_count"] == report["nodal_report"]["count"] == 2
     # at M = 16 the fit window [0.2 L, 0.4 L] holds only 3 shells
     assert report["decay_slope"] is None
+    assert "fit window" in report["decay_slope_reason"]
     assert "nodal=2" in capsys.readouterr().out
 
 

@@ -4,21 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracsaddle import extension, spectral
 from fracsaddle.coxeter import named_group
-from fracsaddle.extension import (
-    ExtensionField,
-    YGrid,
-    default_y_max,
-    energy_identity_check,
-    extend_symmetry_check,
-    extension_energy,
-    harmonic_extend,
-    psi_profile,
-    trace_inequality_check,
-)
+from fracsaddle.extension import YGrid, default_y_max, energy_identity_check, psi_profile
 from fracsaddle.solver import symmetrize
 from fracsaddle.spectral import Field, Grid, fftn, ifftn, irfftn, seminorm_sq
 
+from extension_reference import (
+    ExtensionField,
+    _harmonic_slices,
+    _slices_energy,
+    extend_symmetry_check,
+    harmonic_extend,
+    trace_inequality_check,
+)
 from ode_reference import psi_ode_solution
 
 
@@ -156,22 +155,42 @@ def test_energy_identity_converges_in_J(rng):
     assert errs[2] <= 0.7 * errs[1]
 
 
-@pytest.mark.parametrize("s", [0.25, 0.75])
-def test_energy_identity_streams_slices(s, rng):
-    # the audit's lhs is the stored extension's energy, bitwise, without
-    # ever holding the J slices that harmonic_extend stores
-    g = Grid(3, 16, 12.0)
-    u = smooth_field(g, rng)
-    yg = YGrid.graded(256, default_y_max(g))
-    buffer_bytes = yg.J * u.values.nbytes
-    tracemalloc.start()
-    try:
-        lhs, _, _ = energy_identity_check(u, s, yg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert lhs == extension_energy(harmonic_extend(u, s, yg), s)
-    assert peak < buffer_bytes / 4
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_energy_identity_matches_slice_oracle(s, rng):
+    # the per-radius sums are the slice oracle's quadrature by Parseval, and
+    # they hold nothing of the size of the J slices
+    for g in (Grid(2, 16, 10.0), Grid(3, 16, 12.0)):
+        yg = YGrid.graded(256, default_y_max(g))
+        for u in (smooth_field(g, rng), Field(g, rng.standard_normal(g.shape))):
+            tracemalloc.start()
+            try:
+                lhs, _, _ = energy_identity_check(u, s, yg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            want = _slices_energy(u, _harmonic_slices(u, s, yg), yg, s)
+            assert abs(lhs - want) <= 1e-12 * want
+            assert peak < yg.J * u.values.nbytes / 4
+
+
+@pytest.mark.parametrize("J", [64, 256])
+def test_energy_identity_cost_shape(J, monkeypatch, rng):
+    # one forward transform whatever J is, and one profile evaluation per y node
+    calls = {"transforms": 0, "psi_profile": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(extension, "fftn", counted("transforms", extension.fftn))
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(spectral, name, counted("transforms", getattr(spectral, name)))
+    monkeypatch.setattr(extension, "psi_profile", counted("psi_profile", extension.psi_profile))
+    g = Grid(3, 12, 8.0)
+    energy_identity_check(smooth_field(g, rng), 0.5, YGrid.graded(J, default_y_max(g)))
+    assert calls == {"transforms": 1, "psi_profile": J}
 
 
 def test_trace_inequality_harmonic_and_perturbed(rng):

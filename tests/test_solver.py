@@ -14,12 +14,13 @@ from fracsaddle.solver import (
     get_action,
     init_groundstate,
     init_saddle,
-    mountain_pass_check,
     separation_factor,
     solve,
     symmetrize,
 )
 from fracsaddle.spectral import Field, Grid, hs_norm_sq, l2_norm_sq, seminorm_sq
+
+from solver_reference import mountain_pass_check
 
 PARAMS = ModelParams(3, 0.5, 2.0, 2.0)
 GROUPS = ["A1", "A1xA1", "A2", "B2", "B3"]

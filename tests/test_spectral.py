@@ -9,8 +9,6 @@ from fracsaddle.spectral import (
     Grid,
     build_riesz_kernel,
     fftn,
-    fractional_laplacian,
-    gagliardo_norm_sq,
     get_threads,
     half_parseval_sum,
     hs_norm_sq,
@@ -22,6 +20,8 @@ from fracsaddle.spectral import (
     seminorm_sq,
     set_threads,
 )
+
+from spectral_reference import fractional_laplacian, gagliardo_norm_sq
 
 # Origin-cell averages of |x|^{alpha-N} over the unit cell in 3-D, computed
 # independently of the face-integral rule: by adaptive volume quadrature
