@@ -51,7 +51,6 @@ from .spectral import (
     l2_norm_sq,
     riesz_convolve,
     seminorm_sq,
-    set_threads,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +96,6 @@ __all__ = [
     "riesz_constant",
     "riesz_convolve",
     "seminorm_sq",
-    "set_threads",
     "sign_on_fundamental_domain",
     "solve",
     "solve_level",

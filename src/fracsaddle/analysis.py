@@ -5,7 +5,6 @@ import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .coxeter import CoxeterGroup
 from .energy import _action, _evaluate_field, _gradient
@@ -27,6 +26,40 @@ class NodalReport:
     threshold: float
 
 
+def _label(mask: np.ndarray) -> np.ndarray:
+    """Face-connected components of a boolean mask, without wrap-around.
+
+    0 off the mask; the components are numbered 1, 2, ... in the C order of
+    their first voxel, as scipy.ndimage.label numbers them.  Union-find on
+    the edges between face neighbours, one vectorized round at a time: every
+    edge whose ends have different roots hooks the larger root onto the
+    smaller, then every pointer jumps to its root.  A pointer never points
+    to a larger index, so each root ends as its component's first voxel.
+    """
+    ids = np.arange(mask.size).reshape(mask.shape)
+    a, b = [], []
+    for ax in range(mask.ndim):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        both = mask[lo] & mask[hi]
+        a.append(ids[lo][both])
+        b.append(ids[hi][both])
+    a, b = np.concatenate(a), np.concatenate(b)
+    parent = np.arange(mask.size)
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
+    labels = np.zeros(mask.shape, np.int64)
+    labels[mask] = np.unique(parent[mask.ravel()], return_inverse=True)[1] + 1
+    return labels
+
+
 def nodal_domains(u: Field, eps_rel: float = 1e-3) -> NodalReport:
     """Count connected components of {u > eps} and {u < -eps} separately.
 
@@ -43,7 +76,7 @@ def nodal_domains(u: Field, eps_rel: float = 1e-3) -> NodalReport:
     eps = eps_rel * amax
     sizes = []
     for mask in (u.values > eps, u.values < -eps):
-        labels, _ = ndimage.label(mask)
+        labels = _label(mask)
         sizes.extend(np.bincount(labels.ravel())[1:].tolist())
     sizes.sort(reverse=True)
     return NodalReport(count=len(sizes), component_sizes=sizes, threshold=eps)

@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Groundstates and reflection-symmetric saddle solutions "
         "of a nonlocal Choquard equation on a periodic box.",
     )
-    ap.add_argument("--threads", type=int, default=1, help="transform worker count")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def with_config(p):
@@ -216,7 +215,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    spectral.set_threads(args.threads)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError

@@ -9,20 +9,24 @@ audit needs no slice U(., y_j) at all: by Parseval its quadrature is one
 1-D sum over the y nodes per distinct |xi| (648 radii on a 32^3 grid, not
 32768 nodes), weighted by the Hermitian-weighted |u^|^2 binned by radius
 (spectral.half_power).  One forward transform of u and one psi evaluation
-per y node make the whole audit.  The slice-by-slice construction it
-replaces is the tests' real-space oracle (tests/extension_reference.py).
+per block of y nodes make the whole audit.  The slice-by-slice
+construction it replaces is the tests' real-space oracle
+(tests/extension_reference.py).
 
 psi is used through its closed form in terms of the modified Bessel
-function K_s, but the closed form is not taken on faith: the test suite
-integrates the defining ODE psi'' + ((1-2s)/y) psi' = psi backward from the
-decaying end and compares the two on (0, 50].
+function K_s, computed here in numpy: a power series for small arguments,
+the trapezoid rule on an integral representation in between, and the
+asymptotic series for large ones.  The test suite checks it against
+scipy.special's K_s to 1e-13 relative, and does not take the closed form on
+faith either: it integrates the defining ODE psi'' + ((1-2s)/y) psi' = psi
+backward from the decaying end and compares the two on (0, 50].
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kv
+from numpy.polynomial.polynomial import polyval
 
 from .params import extension_constant
 from .spectral import Field, Grid, fftn, half_power
@@ -63,10 +67,82 @@ def default_y_max(grid: Grid) -> float:
     return 40.0 * grid.L / (2.0 * math.pi)
 
 
+# Branches of psi on y > 0.  Below _SERIES_BELOW the I_{+-s} power series,
+# whose cancellation costs at most ~1e-14 at s = 0.01 and 0.99 there; from
+# _ASYMPTOTIC_FROM the large-y asymptotic series, whose terms fall below
+# rounding long before they turn to grow; past _UNDERFLOW, e^{-y} is 0; in
+# between the trapezoid rule, one octave of y at a time.
+_SERIES_BELOW = 0.5
+_ASYMPTOTIC_FROM = 32.0
+_UNDERFLOW = 746.0
+_V_MAX = 7.0  # e^{-v^2} cuts the trapezoid sum off below rounding
+_TILE = 8192  # most (y, v) pairs per trapezoid pass: 64 kB, held in cache
+
+
+def _psi_series(s: float, c: float, y: np.ndarray) -> np.ndarray:
+    """K_s = pi (I_{-s} - I_s) / (2 sin(pi s)); with z = y^2/4 that makes
+    psi = A(z) - y^{2s} B(z) with A(0) = 1.  Ten terms reach rounding for
+    z < 1/16."""
+    pref = c * math.pi / (2.0 * math.sin(math.pi * s))
+    a = [pref * 2.0**s / math.gamma(1.0 - s)]
+    b = [pref * 2.0**-s / math.gamma(1.0 + s)]
+    for k in range(1, 10):
+        a.append(a[-1] / (k * (k - s)))
+        b.append(b[-1] / (k * (k + s)))
+    z = 0.25 * y * y
+    return polyval(z, a) - y ** (2.0 * s) * polyval(z, b)
+
+
+def _psi_trapezoid(s: float, c: float, y: np.ndarray, lo: float, pairs: int) -> np.ndarray:
+    """y^s K_s(y) from e^y K_s(y) = int_0^inf e^{-v^2} cosh(s t) 2 / sqrt(2y + v^2) dv
+    with t = 2 asinh(v / sqrt(2y)), for y in [lo, 2 lo).
+
+    The integrand is even and analytic in the strip |Im v| < d = sqrt(2y),
+    where e^{-v^2} grows like e^{(Im v)^2}, so the trapezoid rule with step
+    h errs by about exp(d^2 - 2 pi d / h) (Trefethen & Weideman, SIAM Review
+    2014): e^-40 with the step below at d = sqrt(2 lo).  The (y, v) table
+    is built for at most `pairs` pairs at a time.
+    """
+    d2 = 2.0 * lo
+    h = 2.0 * math.pi * math.sqrt(d2) / (40.0 + d2)
+    v = np.arange(0.0, _V_MAX, h)
+    w = h * np.exp(-v * v)
+    w[0] *= 0.5
+    scaled = np.empty(y.size)  # e^y K_s(y)
+    rows = max(1, pairs // v.size)
+    for i in range(0, y.size, rows):
+        two_y = 2.0 * y[i : i + rows, None]
+        f = v / np.sqrt(two_y)
+        np.arcsinh(f, out=f)
+        f *= 2.0 * s
+        np.cosh(f, out=f)
+        q = two_y + v * v
+        f /= np.sqrt(q, out=q)
+        f *= w
+        # a row sum, not a BLAS product, so each value is independent of the batch
+        scaled[i : i + rows] = f.sum(axis=1)
+    return 2.0 * c * y**s * np.exp(-y) * scaled
+
+
+def _psi_asymptotic(s: float, c: float, y: np.ndarray, lo: float) -> np.ndarray:
+    """K_s(y) = sqrt(pi / 2y) e^{-y} sum_k a_k y^{-k}, for y in [lo, 2 lo),
+    truncated at the first term below 1e-17 at lo (Temme, J. Comput. Phys.
+    1975).  At s = 1/2 the sum is exactly 1."""
+    a = [1.0]
+    while abs(a[-1]) >= 1e-17 * lo ** (len(a) - 1):
+        k = len(a)
+        a.append(a[-1] * (4.0 * s * s - (2 * k - 1) ** 2) / (8.0 * k))
+    tail = polyval(1.0 / y, a)
+    return c * math.sqrt(0.5 * math.pi) * np.exp(-y) * y ** (s - 0.5) * tail
+
+
 def psi_profile(s: float, y):
     """The minimizing extension profile: (2^{1-s}/Gamma(s)) y^s K_s(y).
 
-    Normalized psi(0) = 1; at s = 1/2 it collapses to e^{-y}.
+    Normalized psi(0) = 1; at s = 1/2 it collapses to e^{-y}.  K_s comes
+    from a power series for small y, the trapezoid rule for an integral
+    representation in between and the asymptotic series for large y; psi is
+    exactly 0 once e^{-y} underflows.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1); got {s}")
@@ -75,13 +151,20 @@ def psi_profile(s: float, y):
     y = np.atleast_1d(y)
     if np.any(y < 0):
         raise ValueError("y must be nonnegative")
-    out = np.empty_like(y)
-    pos = y > 0
     c = 2.0 ** (1.0 - s) / math.gamma(s)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out[pos] = c * y[pos] ** s * kv(s, y[pos])
-    out[~pos] = 1.0
-    out[np.isnan(out)] = 0.0  # kv underflow at very large y
+    out = np.zeros_like(y)
+    out[y == 0] = 1.0
+    small = (y > 0) & (y < _SERIES_BELOW)
+    out[small] = _psi_series(s, c, y[small])
+    lo = _SERIES_BELOW
+    while lo < _UNDERFLOW:
+        band = (y >= lo) & (y < min(2.0 * lo, _UNDERFLOW))
+        if lo < _ASYMPTOTIC_FROM:
+            # no more pairs per pass than points in the call: memory stays O(y)
+            out[band] = _psi_trapezoid(s, c, y[band], lo, min(y.size, _TILE))
+        else:
+            out[band] = _psi_asymptotic(s, c, y[band], lo)
+        lo *= 2.0
     return float(out[0]) if scalar else out
 
 
@@ -90,6 +173,11 @@ def _cell_weights(ygrid: YGrid, s: float) -> np.ndarray:
     e = 2.0 - 2.0 * s
     edges = np.concatenate([[0.0], ygrid.nodes])
     return np.diff(edges**e) / e
+
+
+# y nodes per psi_profile call: 16 x 648 radii on a 32^3 grid spreads the
+# call's fixed cost while its trapezoid temporaries stay at a few MB.
+_BLOCK = 16
 
 
 def energy_identity_check(u: Field, s: float, ygrid: YGrid):
@@ -104,8 +192,8 @@ def energy_identity_check(u: Field, s: float, ygrid: YGrid):
     except in the first cell, where U - u follows the y^{2s} Frobenius
     branch and the weighted integral is done in closed form on that ansatz
     (a plain quotient loses the boundary layer).  One forward transform in
-    all; no slice of the extension is formed, and the profile is held for
-    two consecutive y nodes at a time.
+    all; no slice of the extension is formed, and the profile is evaluated
+    for _BLOCK y nodes at a time, never as the whole (J x radii) table.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1); got {s}")
@@ -116,17 +204,20 @@ def energy_identity_check(u: Field, s: float, ygrid: YGrid):
     mass = np.bincount(inverse.ravel(), weights=half_power(grid, uhat).ravel())
     xmass = radii**2 * mass
     y = ygrid.nodes
+    x_part = np.empty(y.size)  # sum of |xi|^2 psi^2 m at each y node
+    dpsi2 = np.empty(y.size)  # sum of (psi_j - psi_{j-1})^2 m, with psi(0) = 1
+    prev = np.ones((1, radii.size))
+    for j in range(0, y.size, _BLOCK):
+        psi = psi_profile(s, np.outer(y[j : j + _BLOCK], radii))
+        x_part[j : j + _BLOCK] = psi**2 @ xmass
+        dpsi2[j : j + _BLOCK] = np.diff(psi, axis=0, prepend=prev) ** 2 @ mass
+        prev = psi[-1:]
     w = _cell_weights(ygrid, s)
-    lhs = 0.0
-    prev, x_prev = np.ones_like(radii), float(np.sum(xmass))  # psi(0) = 1
-    for j, yj in enumerate(y):
-        psi = psi_profile(s, radii * yj)
-        x_now = float(xmass @ psi**2)
-        dpsi2 = float(mass @ (psi - prev) ** 2)
-        if j == 0:
-            lhs += w[0] * 0.5 * (x_prev + x_now) + 2.0 * s * yj ** (-2.0 * s) * dpsi2
-        else:
-            lhs += w[j] * (0.5 * (x_prev + x_now) + dpsi2 / (yj - y[j - 1]) ** 2)
-        prev, x_prev = psi, x_now
+    x_cells = 0.5 * (np.concatenate([[xmass.sum()], x_part[:-1]]) + x_part)
+    lhs = float(
+        w @ x_cells
+        + 2.0 * s * y[0] ** (-2.0 * s) * dpsi2[0]
+        + w[1:] @ (dpsi2[1:] / np.diff(y) ** 2)
+    )
     rhs = extension_constant(s) * float(mass @ radii ** (2.0 * s))
     return lhs, rhs, lhs / rhs

@@ -9,6 +9,11 @@ weight (L/M)^N and Parseval holds with that weight.  Fields are real, so the
 Parseval norms sum over the half spectrum that rfftn keeps, with the
 Hermitian weights of half_power.
 
+The transforms are numpy.fft's (pocketfft, one thread), one axis at a time
+in a single buffer per call: numpy's own fftn allocates a new array for
+every axis.  A real input to fftn is transformed on its half spectrum and
+mirrored.
+
 The Riesz convolution K_alpha * f is computed as a linear (non-circular)
 convolution: f is zero-padded onto a doubled grid covering [-L, L)^N and
 multiplied against the sampled kernel in frequency space.  Using the
@@ -24,21 +29,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .params import riesz_constant
-
-_WORKERS = 1
-
-
-def set_threads(n: int) -> None:
-    """Set the worker count used by all transforms."""
-    global _WORKERS
-    _WORKERS = max(1, int(n))
-
-
-def get_threads() -> int:
-    return _WORKERS
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,7 @@ class Grid:
         return -self.L / 2 + self.h * np.arange(self.M)
 
     def axis_freqs(self) -> np.ndarray:
-        return 2.0 * np.pi * sfft.fftfreq(self.M, d=self.h)
+        return 2.0 * np.pi * np.fft.fftfreq(self.M, d=self.h)
 
     def coords(self):
         """Sparse broadcastable coordinate arrays, one per axis."""
@@ -122,20 +114,50 @@ class Field:
         return Field(self.grid, self.values.copy())
 
 
+def _in_place(transform, spec: np.ndarray, axes) -> np.ndarray:
+    """spec transformed in place by np.fft.fft or ifft along each of axes.
+
+    numpy's fftn, ifftn and rfftn allocate a new array for every axis; one
+    buffer reused across the axes costs half as much at 48^3.
+    """
+    for ax in axes:
+        transform(spec, axis=ax, out=spec)
+    return spec
+
+
 def fftn(a: np.ndarray) -> np.ndarray:
-    return sfft.fftn(a, workers=_WORKERS)
+    """Complex transform over every axis.
+
+    A real input is transformed to its rfftn half, and the other half
+    follows from Hermitian symmetry, X[-k] = conj X[k]: about half the work
+    of a complex transform.  On the leading axes k -> -k is a flip followed
+    by a shift by one; on the last axis it is the reversed slice.
+    """
+    if np.iscomplexobj(a):
+        return _in_place(np.fft.fft, np.array(a, np.complex128), range(a.ndim))
+    n = a.shape[-1]
+    m = n // 2 + 1
+    out = np.empty(a.shape, np.complex128)
+    half = out[..., :m]
+    lead = tuple(range(a.ndim - 1))
+    _in_place(np.fft.fft, np.fft.rfft(a, axis=-1, out=half), lead)
+    mirror = np.flip(half[..., n - m:0:-1], lead)
+    np.conjugate(np.roll(mirror, 1, lead), out=out[..., m:])
+    return out
 
 
 def ifftn(a: np.ndarray) -> np.ndarray:
-    return sfft.ifftn(a, workers=_WORKERS)
+    return _in_place(np.fft.ifft, np.array(a, np.complex128), range(a.ndim))
 
 
 def rfftn(a: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(a, workers=_WORKERS)
+    return _in_place(np.fft.fft, np.fft.rfft(a, axis=-1), range(a.ndim - 1))
 
 
 def irfftn(a: np.ndarray, shape) -> np.ndarray:
-    return sfft.irfftn(a, s=shape, workers=_WORKERS)
+    """The real field of the given shape whose rfftn half is a."""
+    spec = _in_place(np.fft.ifft, np.array(a, np.complex128), range(a.ndim - 1))
+    return np.fft.irfft(spec, n=shape[-1], axis=-1)
 
 
 def half_power(grid: Grid, vhat: np.ndarray) -> np.ndarray:
@@ -271,7 +293,7 @@ def _kernel_transform(grid: Grid, alpha: float) -> np.ndarray:
     """
     def build():
         kernel = build_riesz_kernel(grid, alpha)
-        khat = sfft.rfftn(sfft.ifftshift(kernel.values), workers=_WORKERS)
+        khat = rfftn(np.fft.ifftshift(kernel.values))
         return np.ascontiguousarray(khat.real)
 
     return _kernel_cache.lookup((grid, round(alpha, 12)), build)
@@ -282,22 +304,25 @@ def riesz_convolve(f: Field, alpha: float) -> Field:
 
     The transform of f zero-padded onto the doubled grid, times the kernel
     transform, cropped back to the original grid and scaled by the cell
-    volume.  The (2M)^N pad is never built (Hockney & Eastwood): the
-    forward pass transforms axis by axis, so each axis pads only when it is
-    reached and the axes not yet reached still hold M entries; the inverse
-    pass transforms in place and keeps the first M entries of each axis as
-    soon as that axis is done.
+    volume.  The real (2M)^N pad is never built (Hockney & Eastwood): the
+    last axis is padded by rfft straight into a zeroed half spectrum, and
+    each leading axis is then transformed in place over only the entries
+    that the axes not yet reached leave nonzero (M of them per such axis);
+    the inverse pass transforms in place and keeps the first M entries of
+    each axis as soon as that axis is done.
     """
     grid = f.grid
     khat = _kernel_transform(grid, alpha)
     n, M, axes = 2 * grid.M, grid.M, range(grid.N_dims - 1)
-    spec = sfft.rfft(f.values, n=n, axis=-1, workers=_WORKERS)
+    spec = np.zeros(khat.shape, np.complex128)
+    np.fft.rfft(f.values, n=n, axis=-1, out=spec[(slice(0, M),) * (grid.N_dims - 1)])
     for ax in reversed(axes):
-        spec = sfft.fft(spec, n=n, axis=ax, workers=_WORKERS)
+        part = spec[(slice(0, M),) * ax]
+        np.fft.fft(part, axis=ax, out=part)
     spec *= khat
     for ax in axes:
-        spec = sfft.ifft(spec, axis=ax, overwrite_x=True, workers=_WORKERS)
+        np.fft.ifft(spec, axis=ax, out=spec)
         spec = spec[(slice(None),) * ax + (slice(0, M),)]
-    out = sfft.irfft(spec, n=n, axis=-1, workers=_WORKERS)[..., :M]
+    out = np.fft.irfft(spec, n=n, axis=-1)[..., :M]
     return Field(grid, grid.cellvol * out)
 

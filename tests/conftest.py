@@ -13,13 +13,9 @@ from fracsaddle.analysis import energy_table, solve_level
 from fracsaddle.coxeter import named_group
 from fracsaddle.params import ModelParams
 from fracsaddle.solver import SolverConfig
-from fracsaddle.spectral import Grid, set_threads
+from fracsaddle.spectral import Grid
 
 ACCEPT_PARAMS = ModelParams(N=3, s=0.5, alpha=2.0, p=2.0)
-
-
-def pytest_configure(config):
-    set_threads(1)
 
 
 def base_config(grid, group):

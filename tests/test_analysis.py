@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from fracsaddle import analysis
 from fracsaddle.analysis import (
@@ -72,6 +73,33 @@ def test_nodal_validation():
         nodal_domains(Field(g, np.zeros(g.shape)))
     with pytest.raises(ValueError):
         nodal_domains(Field(g, np.ones(g.shape)), eps_rel=2.0)
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (17, 23), (12, 12, 12), (9, 14, 11)])
+@pytest.mark.parametrize("fill", [0.3, 0.5, 0.7])
+def test_label_matches_ndimage(shape, fill, rng):
+    # the numbering too: both count components in the C order of their first voxel
+    mask = rng.random(shape) < fill
+    labels = analysis._label(mask)
+    want, count = ndimage.label(mask)
+    assert labels.max() == count
+    assert np.array_equal(labels, want)
+    assert np.array_equal(np.bincount(labels.ravel()), np.bincount(want.ravel()))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_label_keeps_opposite_faces_apart(N):
+    # the box truncates whole space: the first and last layer of an axis are
+    # not neighbours, so slabs on opposite faces stay separate components
+    mask = np.zeros((10,) * N, dtype=bool)
+    for ax in range(N):
+        for layer in (0, -1):
+            mask[(slice(2, 8),) * ax + (layer,) + (slice(2, 8),) * (N - ax - 1)] = True
+    labels = analysis._label(mask)
+    want, count = ndimage.label(mask)
+    assert count == 2 * N
+    assert np.array_equal(labels, want)
+    assert sorted(np.bincount(labels.ravel())[1:]) == [6 ** (N - 1)] * (2 * N)
 
 
 @pytest.mark.parametrize("q", [3.0, 4.0, 5.0])

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import kve
 
 from fracsaddle import extension, spectral
 from fracsaddle.coxeter import named_group
@@ -44,8 +45,27 @@ def test_ygrid_validation():
 
 
 def test_psi_half_is_exponential():
-    y = np.linspace(0.0, 30.0, 200)
-    assert np.allclose(psi_profile(0.5, y), np.exp(-y), rtol=1e-12, atol=1e-300)
+    # through all three branches: series, trapezoid and asymptotic series
+    y = np.concatenate([np.linspace(0.0, 30.0, 200), np.geomspace(30.0, 700.0, 100)])
+    assert np.abs(psi_profile(0.5, y) / np.exp(-y) - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+def test_psi_matches_scipy_bessel(s):
+    # scipy's kv underflows to 0 from y = 700 on, so the oracle is kve, the
+    # scaled K_s, times e^{-y}.  Measured: at most 6.9e-14 over s in this list
+    # (on 20000 points), nearly all of it kve's own error near y = 2; the
+    # profile is within 1.4e-14 of a 30-digit mpmath K_s there.
+    y = np.geomspace(1e-10, 700.0, 4000)
+    want = 2.0 ** (1.0 - s) / math.gamma(s) * y**s * kve(s, y) * np.exp(-y)
+    assert np.abs(psi_profile(s, y) / want - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("s", [0.01, 0.5, 0.99])
+def test_psi_is_zero_past_underflow(s):
+    v = psi_profile(s, np.array([745.0, 746.0, 800.0, 1e4, 1e300, np.inf]))
+    assert 0.0 <= v[0] < 1e-300
+    assert np.array_equal(v[1:], np.zeros(5))
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
@@ -175,7 +195,8 @@ def test_energy_identity_matches_slice_oracle(s, rng):
 
 @pytest.mark.parametrize("J", [64, 256])
 def test_energy_identity_cost_shape(J, monkeypatch, rng):
-    # one forward transform whatever J is, and one profile evaluation per y node
+    # one forward transform whatever J is, and one profile evaluation per
+    # block of 16 y nodes
     calls = {"transforms": 0, "psi_profile": 0}
 
     def counted(name, fn):
@@ -190,7 +211,7 @@ def test_energy_identity_cost_shape(J, monkeypatch, rng):
     monkeypatch.setattr(extension, "psi_profile", counted("psi_profile", extension.psi_profile))
     g = Grid(3, 12, 8.0)
     energy_identity_check(smooth_field(g, rng), 0.5, YGrid.graded(J, default_y_max(g)))
-    assert calls == {"transforms": 1, "psi_profile": J}
+    assert calls == {"transforms": 1, "psi_profile": J // 16}
 
 
 def test_trace_inequality_harmonic_and_perturbed(rng):

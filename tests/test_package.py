@@ -59,13 +59,13 @@ def test_no_function_local_imports():
 
 
 def test_cli_import_leaves_heavy_scipy_unloaded():
-    # every run pays for what `import fracsaddle.cli` loads; the package uses
-    # scipy.fft, special and ndimage, and nothing that pulls in these four
-    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg"]
+    # every run pays for what `import fracsaddle.cli` loads, and importing
+    # scipy's subpackages costs more than most solves; the package needs
+    # numpy alone (scipy is a test dependency, for the oracles)
     env = dict(os.environ, PYTHONPATH=str(Path(fracsaddle.__file__).parent.parent))
     code = (
         "import sys, fracsaddle.cli; "
-        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

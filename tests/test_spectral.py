@@ -9,16 +9,16 @@ from fracsaddle.spectral import (
     Grid,
     build_riesz_kernel,
     fftn,
-    get_threads,
     half_parseval_sum,
     hs_norm_sq,
+    ifftn,
+    irfftn,
     l2_norm_sq,
     multiplier,
     origin_cell_average,
     rfftn,
     riesz_convolve,
     seminorm_sq,
-    set_threads,
 )
 
 from spectral_reference import fractional_laplacian, gagliardo_norm_sq
@@ -117,6 +117,24 @@ def test_norm_decomposition(rng):
     lu = fractional_laplacian(u, s)
     quad = g.cellvol * np.sum(lu.values * u.values)
     assert seminorm_sq(u, s) == pytest.approx(quad, rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(9,), (10,), (7, 5), (6, 8), (5, 7, 9), (4, 6, 8)])
+def test_transforms_match_scipy(shape, rng):
+    # odd and even lengths: a real fftn input is mirrored from its half spectrum
+    r = rng.standard_normal(shape)
+    c = r + 1j * rng.standard_normal(shape)
+    half = sfft.rfftn(r)
+    pairs = [
+        (fftn(r), sfft.fftn(r)),
+        (fftn(c), sfft.fftn(c)),
+        (ifftn(c), sfft.ifftn(c)),
+        (rfftn(r), half),
+        (irfftn(half, shape), r),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -303,14 +321,3 @@ def test_gagliardo_node_guard():
     g = Grid(3, 20, 5.0)  # 8000 nodes, over the O(n^2) comfort limit
     with pytest.raises(ValueError):
         gagliardo_norm_sq(Field(g, np.zeros(g.shape)), 0.5)
-
-
-def test_thread_control():
-    old = get_threads()
-    try:
-        set_threads(2)
-        assert get_threads() == 2
-        set_threads(0)  # clamps instead of raising
-        assert get_threads() == 1
-    finally:
-        set_threads(old)
