@@ -150,7 +150,6 @@ class TableRow:
     group: str
     c_G: float
     orbit_size: int
-    c_Sq: float
     c_star: float
     margin: float
     verified: bool
@@ -179,7 +178,10 @@ def _facet_candidates(G: CoxeterGroup):
     wall (the dominant route for rank two and up, stabilizer that wall's
     reflection).  They are continuous points, not grid nodes: rounding one
     to the grid can move it onto a smaller face and enlarge its stabilizer.
+    The trivial group has no chamber and no candidate.
     """
+    if G.is_trivial():
+        return []
     C = G.chamber()
     q = C.interior_point()
     cands = [q / np.linalg.norm(q)]
@@ -270,40 +272,18 @@ def energy_table(configs, cache: dict | None = None) -> EnergyTable:
         name = G.name or f"order{G.order}"
         sol = solve_level(G, cfg, cache)
         c_G = sol.energy
-        if G.is_trivial():
-            rows.append(
-                TableRow(
-                    group=name,
-                    c_G=c_G,
-                    orbit_size=1,
-                    c_Sq=c_G,
-                    c_star=float("inf"),
-                    margin=float("inf"),
-                    verified=sol.converged and c_G > 0,
-                    converged=sol.converged,
-                )
-            )
-            continue
         all_conv = sol.converged
-        interior_c = float("nan")
-        interior_orbit = G.order
         c_star = float("inf")
-        for idx, x in enumerate(_facet_candidates(G)):
-            orb = G.orbit(x)
+        for x in _facet_candidates(G):
             sub = solve_level(G.stabilizer(x), cfg, cache)
             all_conv = all_conv and sub.converged
-            cand = len(orb) * sub.energy
-            if idx == 0:
-                interior_c = sub.energy
-                interior_orbit = len(orb)
-            c_star = min(c_star, cand)
+            c_star = min(c_star, len(G.orbit(x)) * sub.energy)
         margin = c_star - c_G
         rows.append(
             TableRow(
                 group=name,
                 c_G=c_G,
-                orbit_size=interior_orbit,
-                c_Sq=interior_c,
+                orbit_size=G.order,  # the interior candidate's: its stabilizer is trivial
                 c_star=c_star,
                 margin=margin,
                 verified=all_conv and c_G > 0 and margin > 0.05 * c_G,

@@ -9,14 +9,15 @@ audit needs no slice U(., y_j) at all: by Parseval its quadrature is one
 1-D sum over the y nodes per distinct |xi| (648 radii on a 32^3 grid, not
 32768 nodes), weighted by the Hermitian-weighted |u^|^2 binned by radius
 (spectral.half_power).  One forward transform of u and one psi evaluation
-per block of y nodes make the whole audit.  The slice-by-slice
+per block of y nodes make the whole audit; pairs (|xi|, y) far past the
+profile's decay are left at 0, not evaluated.  The slice-by-slice
 construction it replaces is the tests' real-space oracle
 (tests/extension_reference.py).
 
 psi is used through its closed form in terms of the modified Bessel
-function K_s, computed here in numpy: a power series for small arguments,
-the trapezoid rule on an integral representation in between, and the
-asymptotic series for large ones.  The test suite checks it against
+function K_s, computed here in numpy on two routes: a power series for
+small arguments and the trapezoid rule on an integral representation up to
+the underflow of e^{-y}.  The test suite checks it against
 scipy.special's K_s to 1e-13 relative, and does not take the closed form on
 faith either: it integrates the defining ODE psi'' + ((1-2s)/y) psi' = psi
 backward from the decaying end and compares the two on (0, 50].
@@ -34,15 +35,9 @@ from .spectral import Field, Grid, fftn, half_power
 
 @dataclass(frozen=True)
 class YGrid:
-    """Graded nodes y_j = Y_max (j/J)^gamma, j = 1..J (y=0 kept separate).
-
-    Grading concentrates nodes at the boundary where the weight y^{1-2s}
-    and the profile's y^{2s} Frobenius branch live.
-    """
+    """Increasing nodes y_1 < ... < y_J in y > 0 (y=0 kept separate)."""
 
     nodes: np.ndarray
-    Y_max: float
-    gamma: float
 
     def __post_init__(self):
         n = np.asarray(self.nodes, dtype=np.float64)
@@ -57,9 +52,12 @@ class YGrid:
         return self.nodes.size
 
     @classmethod
-    def graded(cls, J: int, Y_max: float, gamma: float = 2.0) -> "YGrid":
+    def graded(cls, J: int, Y_max: float) -> "YGrid":
+        """y_j = Y_max (j/J)^2, j = 1..J: the quadratic grading concentrates
+        nodes at the boundary, where the weight y^{1-2s} and the profile's
+        y^{2s} Frobenius branch live."""
         j = np.arange(1, J + 1, dtype=np.float64)
-        return cls(Y_max * (j / J) ** gamma, Y_max, gamma)
+        return cls(Y_max * (j / J) ** 2)
 
 
 def default_y_max(grid: Grid) -> float:
@@ -67,13 +65,11 @@ def default_y_max(grid: Grid) -> float:
     return 40.0 * grid.L / (2.0 * math.pi)
 
 
-# Branches of psi on y > 0.  Below _SERIES_BELOW the I_{+-s} power series,
-# whose cancellation costs at most ~1e-14 at s = 0.01 and 0.99 there; from
-# _ASYMPTOTIC_FROM the large-y asymptotic series, whose terms fall below
-# rounding long before they turn to grow; past _UNDERFLOW, e^{-y} is 0; in
-# between the trapezoid rule, one octave of y at a time.
+# Routes of psi on y > 0.  Below _SERIES_BELOW the I_{+-s} power series,
+# whose cancellation costs at most ~1e-14 at s = 0.01 and 0.99 there; past
+# _UNDERFLOW, e^{-y} is 0; in between the trapezoid rule, one octave of y at
+# a time.
 _SERIES_BELOW = 0.5
-_ASYMPTOTIC_FROM = 32.0
 _UNDERFLOW = 746.0
 _V_MAX = 7.0  # e^{-v^2} cuts the trapezoid sum off below rounding
 _TILE = 8192  # most (y, v) pairs per trapezoid pass: 64 kB, held in cache
@@ -124,25 +120,12 @@ def _psi_trapezoid(s: float, c: float, y: np.ndarray, lo: float, pairs: int) -> 
     return 2.0 * c * y**s * np.exp(-y) * scaled
 
 
-def _psi_asymptotic(s: float, c: float, y: np.ndarray, lo: float) -> np.ndarray:
-    """K_s(y) = sqrt(pi / 2y) e^{-y} sum_k a_k y^{-k}, for y in [lo, 2 lo),
-    truncated at the first term below 1e-17 at lo (Temme, J. Comput. Phys.
-    1975).  At s = 1/2 the sum is exactly 1."""
-    a = [1.0]
-    while abs(a[-1]) >= 1e-17 * lo ** (len(a) - 1):
-        k = len(a)
-        a.append(a[-1] * (4.0 * s * s - (2 * k - 1) ** 2) / (8.0 * k))
-    tail = polyval(1.0 / y, a)
-    return c * math.sqrt(0.5 * math.pi) * np.exp(-y) * y ** (s - 0.5) * tail
-
-
 def psi_profile(s: float, y):
     """The minimizing extension profile: (2^{1-s}/Gamma(s)) y^s K_s(y).
 
     Normalized psi(0) = 1; at s = 1/2 it collapses to e^{-y}.  K_s comes
-    from a power series for small y, the trapezoid rule for an integral
-    representation in between and the asymptotic series for large y; psi is
-    exactly 0 once e^{-y} underflows.
+    from a power series for small y and the trapezoid rule for an integral
+    representation from there on; psi is exactly 0 once e^{-y} underflows.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1); got {s}")
@@ -159,11 +142,8 @@ def psi_profile(s: float, y):
     lo = _SERIES_BELOW
     while lo < _UNDERFLOW:
         band = (y >= lo) & (y < min(2.0 * lo, _UNDERFLOW))
-        if lo < _ASYMPTOTIC_FROM:
-            # no more pairs per pass than points in the call: memory stays O(y)
-            out[band] = _psi_trapezoid(s, c, y[band], lo, min(y.size, _TILE))
-        else:
-            out[band] = _psi_asymptotic(s, c, y[band], lo)
+        # no more pairs per pass than points in the call: memory stays O(y)
+        out[band] = _psi_trapezoid(s, c, y[band], lo, min(y.size, _TILE))
         lo *= 2.0
     return float(out[0]) if scalar else out
 
@@ -178,6 +158,10 @@ def _cell_weights(ygrid: YGrid, s: float) -> np.ndarray:
 # y nodes per psi_profile call: 16 x 648 radii on a 32^3 grid spreads the
 # call's fixed cost while its trapezoid temporaries stay at a few MB.
 _BLOCK = 16
+# psi decreases, and psi(40) is 1.3e-17 at s = 0.75 and below 3.4e-17 for any
+# s, so each psi^2 the audit would take past it is below 1.2e-33, far under
+# the rounding of its sums: such pairs stay 0 and are not evaluated.
+_NEGLIGIBLE_FROM = 40.0
 
 
 def energy_identity_check(u: Field, s: float, ygrid: YGrid):
@@ -193,7 +177,9 @@ def energy_identity_check(u: Field, s: float, ygrid: YGrid):
     branch and the weighted integral is done in closed form on that ansatz
     (a plain quotient loses the boundary layer).  One forward transform in
     all; no slice of the extension is formed, and the profile is evaluated
-    for _BLOCK y nodes at a time, never as the whole (J x radii) table.
+    for _BLOCK y nodes at a time, never as the whole (J x radii) table, and
+    only on the radii with |xi| y below _NEGLIGIBLE_FROM at the block's
+    first (smallest) y.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1); got {s}")
@@ -208,9 +194,14 @@ def energy_identity_check(u: Field, s: float, ygrid: YGrid):
     dpsi2 = np.empty(y.size)  # sum of (psi_j - psi_{j-1})^2 m, with psi(0) = 1
     prev = np.ones((1, radii.size))
     for j in range(0, y.size, _BLOCK):
-        psi = psi_profile(s, np.outer(y[j : j + _BLOCK], radii))
-        x_part[j : j + _BLOCK] = psi**2 @ xmass
-        dpsi2[j : j + _BLOCK] = np.diff(psi, axis=0, prepend=prev) ** 2 @ mass
+        yb = y[j : j + _BLOCK]
+        # radii are sorted and yb[0] is the block's smallest y; radius 0 is always kept
+        n = np.searchsorted(radii * yb[0], _NEGLIGIBLE_FROM)
+        psi = psi_profile(s, np.outer(yb, radii[:n]))
+        x_part[j : j + _BLOCK] = psi**2 @ xmass[:n]
+        dpsi2[j : j + _BLOCK] = np.diff(psi, axis=0, prepend=prev[:, :n]) ** 2 @ mass[:n]
+        # the radii left out here drop from the previous block's last psi to 0
+        dpsi2[j] += prev[0, n:] ** 2 @ mass[n : prev.shape[1]]
         prev = psi[-1:]
     w = _cell_weights(ygrid, s)
     x_cells = 0.5 * (np.concatenate([[xmass.sum()], x_part[:-1]]) + x_part)

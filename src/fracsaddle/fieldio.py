@@ -6,6 +6,7 @@ JSON; tables are CSV.  Everything is diff-able and language-neutral.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +38,13 @@ def _check_keys(section: str, data: dict) -> None:
 
 
 def _number(where: str, value, integer: bool = False):
-    """value as a float, or an int with integer; booleans, strings and
-    non-integral integers are refused rather than coerced."""
+    """value as a float, or an int with integer; booleans, strings,
+    non-finite numbers (JSON Infinity, NaN) and non-integral integers are
+    refused rather than coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{where}' must be a number; got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"'{where}' must be a finite number; got {value!r}")
     if not integer:
         return float(value)
     if isinstance(value, float) and not value.is_integer():
@@ -118,10 +122,24 @@ def load_config(path, allow_s_list=False) -> dict:
         solver[k] = v
     output = dict(_OUTPUT_DEFAULTS)
     output.update(raw.get("output", {}))
+    if not isinstance(output["dir"], str):
+        raise ConfigError(f"'output.dir' must be a string; got {output['dir']!r}")
+    group = raw.get("group", {"name": "trivial"})
+    if not all(isinstance(n, str) for n in group_name_list(group)):
+        raise ConfigError(f"'group.name' must be a name or a list of names; got {group['name']!r}")
+    if "generators" in group:
+        gens = group["generators"]
+        if not (isinstance(gens, list) and all(
+            isinstance(g, list) and all(isinstance(r, list) for r in g) for g in gens
+        )):
+            raise ConfigError(f"'group.generators' must be a list of matrices (lists of rows); got {gens!r}")
+        group["generators"] = [
+            [[_number("group.generators", v, integer=True) for v in r] for r in g] for g in gens
+        ]
     return {
         "params": params,
         "grid": grid,
-        "group_spec": raw.get("group", {"name": "trivial"}),
+        "group_spec": group,
         "solver": solver,
         "output": output,
         "s_values": s_values,

@@ -45,8 +45,8 @@ class SolverConfig:
     def __post_init__(self):
         if not admissible(self.params):
             raise ValueError(f"inadmissible problem parameters {self.params}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite; got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.group.rank > self.grid.N_dims:

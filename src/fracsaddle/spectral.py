@@ -44,8 +44,8 @@ class Grid:
     def __post_init__(self):
         if self.M < 8 or self.M % 2:
             raise ValueError(f"M must be even and >= 8; got {self.M}")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        if not 0.0 < self.L < np.inf:
+            raise ValueError(f"L must be positive and finite; got {self.L}")
         if self.N_dims < 1:
             raise ValueError("N_dims must be >= 1")
 

@@ -240,7 +240,10 @@ def test_cli_table_honours_saddle_radius(tmp_path, capsys):
 
 # Each of these was once coerced and run: tol true as 1.0 (a 2-iteration
 # "converged" saddle with 22 nodal domains), max_iters 2.7 as 2, M 16.9 as 16;
-# R "3" escaped as a TypeError traceback.
+# R "3" escaped as a TypeError traceback.  JSON Infinity and NaN load as
+# floats: with tol Infinity a solve reported its initial guess as converged
+# after one iteration, L NaN or Infinity ran to energy=nan, and tol NaN never
+# converged.
 @pytest.mark.parametrize("section, key, value", [
     ("solver", "tol", True),
     ("solver", "max_iters", 2.7),
@@ -250,6 +253,10 @@ def test_cli_table_honours_saddle_radius(tmp_path, capsys):
     ("problem", "N", 3.5),
     ("grid", "L", False),
     ("problem", "experimental", "yes"),
+    ("solver", "tol", float("inf")),
+    ("solver", "tol", float("nan")),
+    ("grid", "L", float("inf")),
+    ("grid", "L", float("nan")),
 ])
 def test_cli_rejects_mistyped_numbers(tmp_path, capsys, section, key, value):
     cfg = base_config(tmp_path / "run", group={"name": "A1"})
@@ -258,6 +265,28 @@ def test_cli_rejects_mistyped_numbers(tmp_path, capsys, section, key, value):
     path = write_json(tmp_path / "c.json", cfg)
     assert main(["saddle", "--config", path]) == 1
     assert f"'{section}.{key}' must be" in capsys.readouterr().err
+
+
+# Each of these once escaped cli.main as a TypeError traceback.
+@pytest.mark.parametrize("command, section, value, message", [
+    ("saddle", "group", {"generators": 5}, "'group.generators' must be"),
+    ("saddle", "group", {"generators": [[["1", 0], [0, 1]]]}, "'group.generators' must be"),
+    ("table", "group", {"name": [["A1"]]}, "'group.name' must be"),
+    ("groundstate", "output", {"dir": 5}, "'output.dir' must be a string"),
+])
+def test_cli_rejects_malformed_group_and_output(tmp_path, capsys, command, section, value, message):
+    cfg = base_config(tmp_path / "run")
+    cfg[section] = value
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main([command, "--config", path]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_load_config_normalizes_generators(tmp_path):
+    cfg = base_config(tmp_path, group={"generators": [[[-1.0, 0], [0, 1]]]})
+    spec = load_config(write_json(tmp_path / "c.json", cfg))["group_spec"]
+    assert spec == {"generators": [[[-1, 0], [0, 1]]]}
+    assert resolve_group(spec).order == 2
 
 
 def test_load_config_keeps_integral_floats(tmp_path):

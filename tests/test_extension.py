@@ -41,11 +41,11 @@ def test_ygrid_validation():
     with pytest.raises(ValueError):
         YGrid.graded(16, 10.0)  # too few slices
     with pytest.raises(ValueError):
-        YGrid(nodes=np.array([0.0, 1.0] + list(np.linspace(2, 10, 66))), Y_max=10.0, gamma=1.0)
+        YGrid(nodes=np.array([0.0, 1.0] + list(np.linspace(2, 10, 66))))
 
 
 def test_psi_half_is_exponential():
-    # through all three branches: series, trapezoid and asymptotic series
+    # through both routes: the series below 0.5, the trapezoid rule beyond
     y = np.concatenate([np.linspace(0.0, 30.0, 200), np.geomspace(30.0, 700.0, 100)])
     assert np.abs(psi_profile(0.5, y) / np.exp(-y) - 1.0).max() <= 1e-14
 

@@ -172,6 +172,11 @@ def test_solver_config_validation():
     G = named_group("trivial")
     with pytest.raises(ValueError):
         SolverConfig(params=PARAMS, grid=g, group=G, tol=0.0)
+    # an infinite tol once passed the initial guess off as converged, and a NaN
+    # one never converged
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolverConfig(params=PARAMS, grid=g, group=G, tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(params=PARAMS, grid=g, group=G, max_iters=0)
     with pytest.raises(ValueError):

@@ -61,6 +61,9 @@ def test_grid_validation():
         Grid(3, 4, 8.0)  # too small
     with pytest.raises(ValueError):
         Grid(3, 16, -1.0)
+    for L in (np.inf, np.nan):  # each once ran a solve to energy=nan
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            Grid(3, 16, L)
 
 
 def test_field_shape_check():
