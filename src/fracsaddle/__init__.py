@@ -27,7 +27,6 @@ from .analysis import (
 from .coxeter import (
     Chamber,
     CoxeterGroup,
-    generate_group,
     named_group,
 )
 from .energy import EnergyBreakdown, energy, gradient, interaction, nehari_energy, nehari_scale
@@ -78,7 +77,6 @@ __all__ = [
     "energy_identity_check",
     "energy_table",
     "extension_constant",
-    "generate_group",
     "gradient",
     "hs_norm_sq",
     "init_groundstate",

@@ -149,7 +149,6 @@ def sign_on_fundamental_domain(u: Field, G: CoxeterGroup, eps_rel: float = 1e-3)
 class TableRow:
     group: str
     c_G: float
-    orbit_size: int
     c_star: float
     margin: float
     verified: bool
@@ -170,33 +169,24 @@ class EnergyTable:
                 w.writerow([r.group, f"{r.c_G:.10g}", c_star, margin, str(r.verified).lower()])
 
 
-def _facet_candidates(G: CoxeterGroup):
-    """Representative points whose orbits bound the saddle level from above.
+def _breakup_levels(G: CoxeterGroup):
+    """(|O_x|, S_x) for the chamber points x whose breakups bound G's level.
 
-    Unit points, one through the chamber interior (the two-bump route for
-    rank one, stabilizer trivial) and one in the relative interior of each
-    wall (the dominant route for rank two and up, stabilizer that wall's
-    reflection).  They are continuous points, not grid nodes: rounding one
-    to the grid can move it onto a smaller face and enlarge its stabilizer.
-    The trivial group has no chamber and no candidate.
+    A chamber point is fixed exactly by the simple reflections whose walls
+    hold it (Steinberg): an interior point by none (orbit |G|) and, with two
+    walls or more, a point inside one wall by that wall's mirror (orbit
+    |G|/2); a single wall holds only the origin, which is no breakup.  Each
+    normal is e_i or e_i +- e_j, so the rounded mirror is exact.
     """
     if G.is_trivial():
         return []
-    C = G.chamber()
-    q = C.interior_point()
-    cands = [q / np.linalg.norm(q)]
-    for i, n in enumerate(C.normals):
-        x = q - (np.dot(q, n) / np.dot(n, n)) * n
-        nx = np.linalg.norm(x)
-        if nx < 1e-9:
-            continue
-        x = x / nx
-        ok = all(
-            np.dot(C.normals[j], x) > 1e-9 for j in range(len(C.normals)) if j != i
-        ) and abs(np.dot(n, x)) < 1e-9
-        if ok:
-            cands.append(x)
-    return cands
+    normals = G.chamber().normals
+    levels = [(G.order, CoxeterGroup.trivial(G.rank))]
+    if len(normals) >= 2:
+        for n in normals:
+            r = np.rint(np.eye(G.rank) - 2.0 * np.outer(n, n) / (n @ n)).astype(np.int64)
+            levels.append((G.order // 2, CoxeterGroup([r])))
+    return levels
 
 
 def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = None):
@@ -256,9 +246,9 @@ def _conjugate(sol, S: np.ndarray, cfg: SolverConfig):
 
 def energy_table(configs, cache: dict | None = None) -> EnergyTable:
     """One row per config: the symmetric level c_G against the cheapest
-    breakup level c*_G = min |O_x| c_{S_x} over the facet representatives x
-    of _facet_candidates, with O_x the orbit and S_x the stabilizer of x
-    itself, so |O_x| |S_x| = |G|.
+    breakup level c*_G = min |O_x| c_{S_x} over the chamber points x of
+    _breakup_levels: |G| c_trivial and, with two walls or more, |G|/2 times
+    the level of each wall's mirror.
 
     verified requires every involved solve to converge and the strict chain
     to hold with margin above 5% of c_G.  A shared `cache` dict (see
@@ -274,16 +264,15 @@ def energy_table(configs, cache: dict | None = None) -> EnergyTable:
         c_G = sol.energy
         all_conv = sol.converged
         c_star = float("inf")
-        for x in _facet_candidates(G):
-            sub = solve_level(G.stabilizer(x), cfg, cache)
+        for orbit_size, stabilizer in _breakup_levels(G):
+            sub = solve_level(stabilizer, cfg, cache)
             all_conv = all_conv and sub.converged
-            c_star = min(c_star, len(G.orbit(x)) * sub.energy)
+            c_star = min(c_star, orbit_size * sub.energy)
         margin = c_star - c_G
         rows.append(
             TableRow(
                 group=name,
                 c_G=c_G,
-                orbit_size=G.order,  # the interior candidate's: its stabilizer is trivial
                 c_star=c_star,
                 margin=margin,
                 verified=all_conv and c_G > 0 and margin > 0.05 * c_G,

@@ -121,14 +121,10 @@ class Chamber:
         self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
         if self.normals.size == 0:
             raise ValueError("chamber needs at least one wall normal")
-        self.dim = self.normals.shape[1]
 
     def dots(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.normals @ x
-
-    def contains(self, x, tol: float = _DEDUP_TOL) -> bool:
-        return bool((self.dots(x) >= -tol).all())
 
     def interior_point(self) -> np.ndarray:
         """A point with <x, n_i> = 1 for every wall (least-squares solution)."""
@@ -262,19 +258,6 @@ class CoxeterGroup:
                 seen[kb] = img
         return np.array(list(seen.values()))
 
-    def stabilizer(self, x) -> "CoxeterGroup":
-        """Isotropy subgroup {g : g x = x}, returned as a group of its own.
-
-        Its generators are the reflections it contains (point stabilizers of
-        reflection groups are generated by the reflections they contain), so
-        the result is again a usable CoxeterGroup.
-        """
-        x = np.asarray(x, dtype=float)
-        fixed = [g for g in self.elements if np.abs(g @ x - x).max() <= _DEDUP_TOL]
-        elems = np.array(fixed, dtype=np.int64)
-        gens = [g for g in fixed if is_reflection(g)]
-        return CoxeterGroup(gens, name=None, _elements=elems)
-
     def chamber(self) -> Chamber:
         """Fundamental chamber bounded by the simple system of the group's walls.
 
@@ -355,9 +338,3 @@ def named_group(name: str) -> CoxeterGroup:
     if name not in _NAMED:
         raise ValueError(f"unknown group name {name!r}; known: trivial, {', '.join(sorted(_NAMED))}")
     return CoxeterGroup(_NAMED[name](), name=name)
-
-
-def generate_group(generators, name=None) -> CoxeterGroup:
-    """Breadth-first closure of reflection generators into a CoxeterGroup."""
-    return CoxeterGroup(generators, name=name)
-

@@ -65,6 +65,8 @@ def load_config(path, allow_s_list=False) -> dict:
     """
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a JSON object; got {raw!r}")
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
@@ -125,6 +127,8 @@ def load_config(path, allow_s_list=False) -> dict:
     if not isinstance(output["dir"], str):
         raise ConfigError(f"'output.dir' must be a string; got {output['dir']!r}")
     group = raw.get("group", {"name": "trivial"})
+    if "name" in group and "generators" in group:
+        raise ConfigError("'group' takes 'name' or 'generators', not both")
     if not all(isinstance(n, str) for n in group_name_list(group)):
         raise ConfigError(f"'group.name' must be a name or a list of names; got {group['name']!r}")
     if "generators" in group:

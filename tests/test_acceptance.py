@@ -34,6 +34,7 @@ from fracsaddle.spectral import (
     riesz_convolve,
 )
 
+from coxeter_reference import stabilizer
 from extension_reference import ExtensionField, harmonic_extend, trace_inequality_check
 from ode_reference import psi_ode_solution
 from solver_reference import mountain_pass_check
@@ -151,10 +152,10 @@ def test_criterion_04_coxeter_suite():
                 assert phi[ab] == phi[a.tobytes()] * phi[b.tobytes()]
         for _ in range(100):
             x = rng.standard_normal(G.rank)
-            assert len(G.orbit(x)) * G.stabilizer(x).order == G.order
+            assert len(G.orbit(x)) * stabilizer(G, x).order == G.order
         for x in lattice:
             xk = x[: G.rank]
-            assert len(G.orbit(xk)) * G.stabilizer(xk).order == G.order
+            assert len(G.orbit(xk)) * stabilizer(G, xk).order == G.order
     report(4, "group axioms, sign character, orbit-stabilizer count", "5 groups, exact")
 
 

@@ -14,10 +14,12 @@ from fracsaddle.analysis import (
     sign_on_fundamental_domain,
     solve_level,
 )
-from fracsaddle.coxeter import generate_group, named_group
+from fracsaddle.coxeter import CoxeterGroup, named_group
 from fracsaddle.params import ModelParams
 from fracsaddle.solver import SolverConfig, _index_table, get_action, init_saddle, solve, symmetrize
 from fracsaddle.spectral import Field, Grid
+
+from coxeter_reference import facet_candidates, stabilizer
 
 PARAMS = ModelParams(3, 0.5, 2.0, 2.0)
 
@@ -202,7 +204,6 @@ def test_energy_table_small(tmp_path):
     assert a1.converged
     # the rank-1 breakup candidate is two free copies
     assert a1.c_star == pytest.approx(2.0 * triv.c_G, rel=1e-10)
-    assert a1.orbit_size == 2
     assert a1.margin == pytest.approx(a1.c_star - a1.c_G)
     assert a1.c_G > triv.c_G
 
@@ -229,8 +230,24 @@ def test_energy_table_takes_stabilizers_of_continuous_facet_points(monkeypatch):
     cfg = SolverConfig(params=PARAMS, grid=Grid(3, 12, 8.0), group=named_group("B3"))
     (row,) = energy_table([cfg]).rows
     assert levels == [48, 1, 2, 2, 2]
-    assert row.orbit_size == 48
     assert row.c_star == 24.0
+
+
+# The geometric route: continuous points of the chamber, their stabilizers
+# and their orbits.  The rank-2 single flip has only the trivial level.
+@pytest.mark.parametrize("G", [
+    *(named_group(n) for n in ("trivial", "A1", "A1xA1", "A2", "B2", "B3")),
+    CoxeterGroup([np.diag([-1, 1])]),
+    CoxeterGroup([np.array([[0, -1], [-1, 0]])]),
+    CoxeterGroup([np.diag([1, 1, -1])]),
+], ids=["trivial", "A1", "A1xA1", "A2", "B2", "B3", "flip2", "antidiagonal", "mirror3"])
+def test_breakup_levels_match_facet_points(G):
+    want = [(len(G.orbit(x)), stabilizer(G, x)) for x in facet_candidates(G)]
+    got = analysis._breakup_levels(G)
+    assert [n for n, _ in got] == [n for n, _ in want]
+    assert [S.fingerprint() for _, S in got] == [S.fingerprint() for _, S in want]
+    # element for element, so the solves see the same lists in the same order
+    assert all(np.array_equal(S.elements, R.elements) for (_, S), (_, R) in zip(got, want))
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +294,7 @@ def test_energy_table_solves_each_conjugacy_class_once(table24):
 def test_solve_level_reuses_conjugate_class(mirror, source, table24):
     _, cache, solves, base = table24
     g = base.grid
-    G = generate_group([np.array(mirror)])
+    G = CoxeterGroup([np.array(mirror)])
     n_solves = len(solves)
     sol = solve_level(G, base, cache)
     assert len(solves) == n_solves  # no new solve
@@ -296,5 +313,5 @@ def test_solve_level_reuses_conjugate_class(mirror, source, table24):
 
 def test_get_action_shares_embedded_element_set():
     g = Grid(3, 8, 4.0)
-    rank3 = generate_group([np.diag([-1, 1, 1])])
+    rank3 = CoxeterGroup([np.diag([-1, 1, 1])])
     assert get_action(g, named_group("A1")) is get_action(g, rank3)

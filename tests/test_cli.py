@@ -267,12 +267,15 @@ def test_cli_rejects_mistyped_numbers(tmp_path, capsys, section, key, value):
     assert f"'{section}.{key}' must be" in capsys.readouterr().err
 
 
-# Each of these once escaped cli.main as a TypeError traceback.
+# Each of these once escaped cli.main as a TypeError traceback, except the
+# name with generators, which ran the generators and dropped the name.
 @pytest.mark.parametrize("command, section, value, message", [
     ("saddle", "group", {"generators": 5}, "'group.generators' must be"),
     ("saddle", "group", {"generators": [[["1", 0], [0, 1]]]}, "'group.generators' must be"),
     ("table", "group", {"name": [["A1"]]}, "'group.name' must be"),
     ("groundstate", "output", {"dir": 5}, "'output.dir' must be a string"),
+    ("saddle", "group", {"name": "B2", "generators": [[[-1, 0], [0, 1]]]},
+     "'group' takes 'name' or 'generators', not both"),
 ])
 def test_cli_rejects_malformed_group_and_output(tmp_path, capsys, command, section, value, message):
     cfg = base_config(tmp_path / "run")
@@ -280,6 +283,14 @@ def test_cli_rejects_malformed_group_and_output(tmp_path, capsys, command, secti
     path = write_json(tmp_path / "c.json", cfg)
     assert main([command, "--config", path]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["null", "5", '[["problem"]]'])
+def test_cli_rejects_config_that_is_not_an_object(tmp_path, capsys, raw):
+    path = tmp_path / "c.json"
+    path.write_text(raw)
+    assert main(["groundstate", "--config", str(path)]) == 1
+    assert "error: a config must be a JSON object" in capsys.readouterr().err
 
 
 def test_load_config_normalizes_generators(tmp_path):

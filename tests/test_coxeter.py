@@ -6,11 +6,12 @@ from fracsaddle.coxeter import (
     Chamber,
     CoxeterGroup,
     element_sign,
-    generate_group,
     is_reflection,
     named_group,
     reflection_normal,
 )
+
+from coxeter_reference import contains, stabilizer
 
 NAMES = ["A1", "A1xA1", "A2", "B2", "B3"]
 KNOWN_ORDERS = {"trivial": 1, "A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "B3": 48}
@@ -71,7 +72,7 @@ def test_lagrange_identity_random_points(name):
     for _ in range(100):
         x = rng.standard_normal(G.rank)
         orb = G.orbit(x)
-        S = G.stabilizer(x)
+        S = stabilizer(G, x)
         assert len(orb) * S.order == G.order
     # a point with distinct positive coordinates has trivial stabilizer
     x = np.linspace(1.0, 2.0, G.rank)
@@ -87,7 +88,7 @@ def test_lagrange_identity_lattice_points(name):
     pts = np.stack(np.meshgrid(*([nodes] * 3), indexing="ij"), axis=-1).reshape(-1, 3)
     for x in pts:
         orb = G.orbit(x[: G.rank])
-        S = G.stabilizer(x[: G.rank])
+        S = stabilizer(G, x[: G.rank])
         assert len(orb) * S.order == G.order
 
 
@@ -95,7 +96,7 @@ def test_lagrange_identity_lattice_points(name):
 def test_stabilizer_is_subgroup(name):
     G = named_group(name)
     x = np.zeros(G.rank)  # the origin is fixed by everything
-    S = G.stabilizer(x)
+    S = stabilizer(G, x)
     assert S.order == G.order
     keys = {m.tobytes() for m in S.elements}
     for a in S.elements:
@@ -112,7 +113,7 @@ def test_chamber_interior_point(name):
     assert len(active_walls(C, q)) == 0
     # trivial stabilizer inside the chamber, so the orbit is the whole group
     assert len(G.orbit(q)) == G.order
-    assert G.stabilizer(q).order == 1
+    assert stabilizer(G, q).order == 1
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -123,7 +124,7 @@ def test_every_orbit_meets_chamber(name):
     for _ in range(50):
         x = rng.standard_normal(G.rank)
         orb = G.orbit(x)
-        hits = [p for p in orb if C.contains(p)]
+        hits = [p for p in orb if contains(C, p)]
         assert len(hits) >= 1
 
 
@@ -150,15 +151,15 @@ def test_reflection_predicates():
 
 
 def test_generate_group_from_custom_generators():
-    G = generate_group([np.array([[-1]])])
+    G = CoxeterGroup([np.array([[-1]])])
     assert G.order == 2
     swap01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=np.int64)
     swap12 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=np.int64)
-    assert generate_group([swap01, swap12]).order == 6
+    assert CoxeterGroup([swap01, swap12]).order == 6
     with pytest.raises(ValueError):
-        generate_group([np.array([[0, -1], [1, 0]])])  # rotation, not a reflection
+        CoxeterGroup([np.array([[0, -1], [1, 0]])])  # rotation, not a reflection
     with pytest.raises(ValueError):
-        generate_group([])
+        CoxeterGroup([])
 
 
 def test_fingerprint_identifies_group_not_object():
@@ -169,7 +170,7 @@ def test_fingerprint_identifies_group_not_object():
 
 
 def test_fingerprint_embeds_into_grid_axes():
-    a1, x1 = named_group("A1"), generate_group([np.diag([-1, 1, 1])])
+    a1, x1 = named_group("A1"), CoxeterGroup([np.diag([-1, 1, 1])])
     assert a1.fingerprint() != x1.fingerprint()
     assert a1.fingerprint(3) == x1.fingerprint(3)
     assert CoxeterGroup.trivial(1).fingerprint(3) == CoxeterGroup.trivial(3).fingerprint()
@@ -177,9 +178,9 @@ def test_fingerprint_embeds_into_grid_axes():
 
 def test_canonical_form_identifies_conjugacy_class():
     a1 = named_group("A1")
-    x3 = generate_group([np.diag([1, 1, -1])])
-    diag = generate_group([np.array([[0, 1], [1, 0]])])
-    anti = generate_group([np.array([[0, -1], [-1, 0]])])
+    x3 = CoxeterGroup([np.diag([1, 1, -1])])
+    diag = CoxeterGroup([np.array([[0, 1], [1, 0]])])
+    anti = CoxeterGroup([np.array([[0, -1], [-1, 0]])])
     (fa, sa), (fx, sx) = a1.canonical_form(3), x3.canonical_form(3)
     assert fa == fx
     S = sa.T @ sx  # x3 = S^T A1 S

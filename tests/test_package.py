@@ -15,7 +15,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 ENTRY_POINTS = {
     "Grid", "ModelParams", "SolverConfig", "named_group", "init_saddle", "solve",
     "nodal_domains", "energy", "gradient", "interaction", "nehari_energy",
-    "hs_norm_sq", "seminorm_sq", "l2_norm_sq", "generate_group",
+    "hs_norm_sq", "seminorm_sq", "l2_norm_sq",
 }
 
 

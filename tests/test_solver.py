@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracsaddle.analysis import nodal_domains, sign_on_fundamental_domain
-from fracsaddle.coxeter import generate_group, named_group
+from fracsaddle.coxeter import CoxeterGroup, named_group
 from fracsaddle import solver, spectral
 from fracsaddle.energy import energy, gradient, interaction, nehari_energy
 from fracsaddle.params import ModelParams
@@ -38,7 +38,7 @@ def test_action_table_swap_2d(rng):
     g = Grid(2, 8, 4.0)
     vals = rng.standard_normal(g.shape)
     swap = np.array([[0, 1], [1, 0]])
-    G = generate_group([swap])
+    G = CoxeterGroup([swap])
     row = GroupAction(g, G).tables[G.index_of(swap)]
     assert np.array_equal(vals.ravel()[row].reshape(g.shape), vals.T)
 
