@@ -7,15 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coxeter import CoxeterGroup
-from .energy import _action, _evaluate_field, _gradient
-from .solver import (
-    SolverConfig,
-    _index_table,
-    _residual,
-    init_groundstate,
-    init_saddle,
-    solve,
-)
+from .energy import _action, _evaluate_field, _force_hat, _gradient_hat, _residual
+from .solver import SolverConfig, _index_table, init_groundstate, init_saddle, solve
 from .spectral import Field
 
 
@@ -230,7 +223,8 @@ def _conjugate(sol, S: np.ndarray, cfg: SolverConfig):
     grid, params = cfg.grid, cfg.params
     u = Field(grid, sol.u.values.ravel()[_index_table(grid, S)].reshape(grid.shape))
     ev, mult = _evaluate_field(u, params)
-    residual = _residual(_gradient(u.values, ev, mult, params.p), u.values)
+    ghat = _gradient_hat(ev, mult, _force_hat(u.values, ev, params.p))
+    residual = _residual(grid, ghat, ev.uhat)
     meta = dict(sol.metadata)
     meta["group"] = {"name": cfg.group.name, "order": cfg.group.order}
     meta["reused_from"] = {"group": sol.metadata["group"], "signed_permutation": S.tolist()}

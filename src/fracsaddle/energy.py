@@ -5,6 +5,11 @@ transform u_hat, K_alpha * |u|^p, Q = ||u||^2_{H^s} and D(u) = integral of
 (K_alpha * |u|^p)|u|^p.  The energy, gradient, Nehari scale and Nehari
 energy are formulas in these four; the evaluation of t u is a rescale of
 that of u.  The public functions and `solver.solve` share this one path.
+
+Every field is real, so u_hat is the rfftn half spectrum and the symbols
+are sampled on that half (`Grid.half_freq_norm_sq`).  The gradient
+g = (1 + |xi|^{2s}) u - F, with F = (K_alpha * |u|^p)|u|^{p-2} u, is formed
+there too, and the residual of the descent is a Parseval sum on it.
 """
 
 from dataclasses import dataclass
@@ -13,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import ModelParams
-from .spectral import Field, Grid, fftn, ifftn, multiplier, riesz_convolve
+from .spectral import Field, Grid, half_inner, half_parseval_sum, irfftn, riesz_convolve, rfftn
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,8 @@ class EnergyBreakdown:
 
 
 class _Evaluation(NamedTuple):
-    """u_hat, K_alpha * |u|^p, Q = ||u||^2_{H^s} and D(u) for one field."""
+    """u_hat (the rfftn half), K_alpha * |u|^p, Q = ||u||^2_{H^s} and D(u)
+    for one field."""
 
     uhat: np.ndarray
     conv: np.ndarray
@@ -43,22 +49,35 @@ class _Evaluation(NamedTuple):
 
 
 def _evaluate(values: np.ndarray, grid: Grid, params: ModelParams, mult: np.ndarray) -> _Evaluation:
-    """One FFT and one padded convolution; mult is the symbol |xi|^{2s}."""
-    uhat = fftn(values)
-    Q = grid.cellvol / grid.n_nodes * float(np.sum((1.0 + mult) * (uhat.real**2 + uhat.imag**2)))
+    """One rfftn and one padded convolution; mult is |xi|^{2s} on the half spectrum."""
+    uhat = rfftn(values)
+    Q = half_parseval_sum(grid, uhat, 1.0 + mult)
     up = np.abs(values) ** params.p
     conv = riesz_convolve(Field(grid, up), params.alpha).values
     D = float(grid.cellvol * np.sum(conv * up))
     return _Evaluation(uhat, conv, Q, D)
 
 
-def _gradient(values: np.ndarray, ev: _Evaluation, mult: np.ndarray, p: float) -> np.ndarray:
-    """(-Delta)^s u + u - (K_alpha * |u|^p)|u|^{p-2} u from an evaluation of u."""
+def _force_hat(values: np.ndarray, ev: _Evaluation, p: float) -> np.ndarray:
+    """The rfftn half of F = (K_alpha * |u|^p)|u|^{p-2} u from an evaluation of u."""
     if p == 2.0:
         force = ev.conv * values
     else:
         force = ev.conv * np.sign(values) * np.abs(values) ** (p - 1.0)
-    return ifftn(mult * ev.uhat).real + values - force
+    return rfftn(force)
+
+
+def _gradient_hat(ev: _Evaluation, mult: np.ndarray, fhat: np.ndarray) -> np.ndarray:
+    """The rfftn half of the gradient, (1 + |xi|^{2s}) u_hat - F_hat."""
+    return (1.0 + mult) * ev.uhat - fhat
+
+
+def _residual(grid: Grid, ghat: np.ndarray, uhat: np.ndarray) -> float:
+    """Relative L^2 norm of the gradient g projected orthogonal to the ray u,
+    by Parseval from the rfftn halves of g and u."""
+    uu = half_inner(grid, uhat, uhat)
+    r = ghat - (half_inner(grid, ghat, uhat) / uu) * uhat
+    return float(np.sqrt(half_inner(grid, r, r) / uu))
 
 
 def _action(Q, D, p: float):
@@ -77,10 +96,11 @@ def _nehari_value(Q: float, D: float, p: float) -> float:
 
 
 def _evaluate_field(u: Field, params: ModelParams):
-    """The evaluation of a Field and the symbol it used; needs s in (0, 1]."""
+    """The evaluation of a Field and the half-spectrum symbol it used; needs
+    s in (0, 1]."""
     if not 0.0 < params.s <= 1.0:
         raise ValueError(f"s must lie in (0, 1]; got {params.s}")
-    mult = multiplier(u.grid, params.s)
+    mult = u.grid.half_freq_norm_sq() ** params.s
     return _evaluate(u.values, u.grid, params, mult), mult
 
 
@@ -98,7 +118,8 @@ def energy(u: Field, params: ModelParams) -> EnergyBreakdown:
 def gradient(u: Field, params: ModelParams) -> Field:
     """L^2 gradient (-Delta)^s u + u - (K_alpha * |u|^p)|u|^{p-2} u."""
     ev, mult = _evaluate_field(u, params)
-    return Field(u.grid, _gradient(u.values, ev, mult, params.p))
+    ghat = _gradient_hat(ev, mult, _force_hat(u.values, ev, params.p))
+    return Field(u.grid, irfftn(ghat, u.grid.shape))
 
 
 def nehari_scale(u: Field, params: ModelParams) -> float:

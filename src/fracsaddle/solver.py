@@ -19,11 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coxeter import CoxeterGroup, _embed
-from .energy import _action, _evaluate, _gradient, _nehari_factor, _nehari_value
+from .energy import _action, _evaluate, _force_hat, _gradient_hat
+from .energy import _nehari_factor, _nehari_value, _residual
 # solve never calls energy(); perfbench/test_perfbench.py names this binding
 from .energy import energy as energy_of, nehari_scale
 from .params import ModelParams, admissible
-from .spectral import _LRU, Field, Grid, fftn, ifftn, multiplier
+from .spectral import _LRU, Field, Grid, irfftn
+# solve never calls fftn or ifftn; perfbench/test_perfbench.py names these bindings
+from .spectral import fftn, ifftn
 
 _ZERO_TOL = 1e-10
 _DEPTH = 5  # Anderson history: 3, 5 and 10 all converge under the energy safeguard
@@ -251,24 +254,23 @@ def _place_signed_bumps(grid, G, q, radius, width):
 # Descent loop
 # ---------------------------------------------------------------------------
 
-def _residual(g: np.ndarray, u: np.ndarray) -> float:
-    """Relative L^2 norm of the gradient g projected orthogonal to the ray u."""
-    gu = float(np.sum(g * u))
-    uu = float(np.sum(u * u))
-    return float(np.sqrt(np.sum((g - (gu / uu) * u) ** 2) / uu))
-
-
 def solve(config: SolverConfig, initial: Field) -> Solution:
     """Minimize the energy over the Nehari set of the symmetric class.
 
     Each iteration forms the plain image w = P(u - d) of the iterate u, where
     d is the (1 + |xi|^{2s})^{-1}-smoothed gradient and P the class
-    projection: the map u -> w is the Petviashvili iteration.
+    projection: the map u -> w is the Petviashvili iteration.  The gradient
+    is g = (1 + |xi|^{2s}) u - F with F = (K_alpha * |u|^p)|u|^{p-2} u, so
+    u - d = (1 + |xi|^{2s})^{-1} F, and w costs one rfftn of F and one
+    irfftn; the residual is a Parseval sum on the half spectrum of g.
     Anderson mixing (Walker & Ni 2011) over the last _DEPTH differences of
-    w and of the residual f = w - u proposes P(w - dW gamma), with gamma the
-    least-squares fit of f by dF.  A candidate is accepted, and rescaled
-    onto the Nehari set, only if its interaction D is positive and its
-    closed-form Nehari energy is below the current one.  A rejected mix
+    w and of the residual f = w - u proposes w - dW gamma, with gamma the
+    least-squares fit of f by dF.  w and every dW row lie in the class
+    bitwise, and the mix is formed by elementwise operations, which round a
+    node and its signed images alike, so it needs no second projection.
+    A candidate is accepted, and rescaled onto the Nehari set, only if its
+    interaction D is positive and its closed-form Nehari energy is below
+    the current one.  A rejected mix
     clears the history and falls back to the plain step w under the same
     test; the Petviashvili step needs no step control inside the basin
     (Pelinovsky & Stepanyants 2004), so if w fails too the solve stops with
@@ -291,7 +293,7 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     def project(vals):
         return vals if action is None else action.project(vals)
 
-    mult = multiplier(grid, params.s)
+    mult = grid.half_freq_norm_sq() ** params.s
     precond = 1.0 / (1.0 + mult)
 
     u = project(initial.values)
@@ -325,17 +327,16 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     iters = 0
     stalled = False
     for iters in range(1, config.max_iters + 1):
-        g = _gradient(u, ev, mult, p)
-        residual = _residual(g, u)
+        fhat = _force_hat(u, ev, p)
+        residual = _residual(grid, _gradient_hat(ev, mult, fhat), ev.uhat)
         trace["residual"].append(residual)
         trace["energy"].append(E)
         if residual <= config.tol:
             trace["step"].append(None)
             break
 
-        d = ifftn(precond * fftn(g)).real
-        del g  # the trial evaluations below set the peak memory
-        w = project(u - d)
+        w = project(irfftn(precond * fhat, grid.shape))
+        del fhat  # the trial evaluations below set the peak memory
         f = w - u
         if w_prev is not None:
             row = stored % _DEPTH
@@ -349,7 +350,9 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         if m:
             F = dF[:m].reshape(m, -1)
             gamma = np.linalg.lstsq(F @ F.T, F @ f.ravel(), rcond=None)[0]
-            cand = project(w - np.tensordot(gamma, dW[:m], axes=1))
+            cand = w.copy()
+            for k in range(m):
+                cand -= gamma[k] * dW[k]
             found = descends(cand)
             if found:
                 kind = "mixed"
@@ -373,7 +376,7 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         u, ev = tt * cand, cev.scaled(tt, p)
     else:
         # out of iterations after a step: report the residual of the returned u
-        residual = _residual(_gradient(u, ev, mult, p), u)
+        residual = _residual(grid, _gradient_hat(ev, mult, _force_hat(u, ev, p)), ev.uhat)
 
     elapsed = time.perf_counter() - t_start
     meta = {

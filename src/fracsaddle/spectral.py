@@ -160,18 +160,23 @@ def irfftn(a: np.ndarray, shape) -> np.ndarray:
     return np.fft.irfft(spec, n=shape[-1], axis=-1)
 
 
+def _hermitian_weights(grid: Grid, m: int) -> np.ndarray:
+    """Parseval weights of the m last-axis bins of an rfftn half.
+
+    Each bin 1..M/2-1 stands for itself and its Hermitian mirror, so it
+    counts twice; bin 0 and the Nyquist bin M/2 are their own mirrors and
+    count once.
+    """
+    w = np.full(m, 2.0)
+    w[0] = w[-1] = 1.0
+    return grid.cellvol / grid.n_nodes * w
+
+
 def half_power(grid: Grid, vhat: np.ndarray) -> np.ndarray:
     """Parseval-weighted |v^|^2 on the rfftn half vhat of a real field v:
     summed against an even symbol, it gives (cellvol / n_nodes) times the sum
-    of symbol |v^|^2 over the full spectrum.
-
-    Each last-axis bin 1..M/2-1 stands for itself and its Hermitian mirror,
-    so it counts twice; bin 0 and the Nyquist bin M/2 are their own mirrors
-    and count once.
-    """
-    w = np.full(vhat.shape[-1], 2.0)
-    w[0] = w[-1] = 1.0
-    return grid.cellvol / grid.n_nodes * w * (vhat.real**2 + vhat.imag**2)
+    of symbol |v^|^2 over the full spectrum."""
+    return _hermitian_weights(grid, vhat.shape[-1]) * (vhat.real**2 + vhat.imag**2)
 
 
 def half_parseval_sum(grid: Grid, vhat: np.ndarray, symbol: np.ndarray) -> float:
@@ -180,9 +185,11 @@ def half_parseval_sum(grid: Grid, vhat: np.ndarray, symbol: np.ndarray) -> float
     return float(np.sum(symbol * half_power(grid, vhat)))
 
 
-def multiplier(grid: Grid, s: float) -> np.ndarray:
-    """The symbol |xi|^{2s} on the discrete frequency lattice (zero at xi=0)."""
-    return grid.freq_norm_sq() ** s
+def half_inner(grid: Grid, ahat: np.ndarray, bhat: np.ndarray) -> float:
+    """The L^2 inner product cellvol * sum of a b of two real fields, by
+    Parseval from their rfftn halves ahat and bhat."""
+    cross = ahat.real * bhat.real + ahat.imag * bhat.imag
+    return float(np.sum(_hermitian_weights(grid, ahat.shape[-1]) * cross))
 
 
 def _parseval_sum(u: Field, s: float, shift: float) -> float:

@@ -1,7 +1,9 @@
-"""The fibering-ray diagnostic of a solution, used by the tests to confirm
-that a Nehari-projected solution sits at the peak of its ray.
+"""Solver oracles for the tests: the fibering-ray diagnostic of a solution,
+used to confirm that a Nehari-projected solution sits at the peak of its
+ray, and the real-space gradient and residual that the spectral ones on the
+rfftn half spectrum replace.
 
-It lives with the tests because only they call it.
+They live with the tests because only the tests call them.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ from fracsaddle.energy import _action
 from fracsaddle.energy import energy as energy_of
 from fracsaddle.params import ModelParams
 from fracsaddle.solver import Solution
+from fracsaddle.spectral import ifftn
 
 
 def mountain_pass_check(sol: Solution, params: ModelParams) -> float:
@@ -23,3 +26,23 @@ def mountain_pass_check(sol: Solution, params: ModelParams) -> float:
     ts = np.linspace(0.0, 2.0, 101)
     ray = _action(ts**2 * (2.0 * bre.quad), ts ** (2.0 * params.p) * bre.nonlocal_, params.p)
     return float(ray.max())
+
+
+def _gradient(values: np.ndarray, ev, mult: np.ndarray, p: float) -> np.ndarray:
+    """(-Delta)^s u + u - (K_alpha * |u|^p)|u|^{p-2} u from an evaluation of u.
+
+    ev.uhat is the full complex spectrum fftn(u) and mult the full-lattice
+    symbol |xi|^{2s}.
+    """
+    if p == 2.0:
+        force = ev.conv * values
+    else:
+        force = ev.conv * np.sign(values) * np.abs(values) ** (p - 1.0)
+    return ifftn(mult * ev.uhat).real + values - force
+
+
+def _residual(g: np.ndarray, u: np.ndarray) -> float:
+    """Relative L^2 norm of the gradient g projected orthogonal to the ray u."""
+    gu = float(np.sum(g * u))
+    uu = float(np.sum(u * u))
+    return float(np.sqrt(np.sum((g - (gu / uu) * u) ** 2) / uu))

@@ -1,16 +1,23 @@
-"""Spectral oracles for the tests: the fractional Laplacian applied as a
-full-spectrum multiplier, and the Gagliardo seminorm by direct double sum.
+"""Spectral oracles for the tests: the symbol |xi|^{2s} on the full
+frequency lattice, the fractional Laplacian applied as a full-spectrum
+multiplier, and the Gagliardo seminorm by direct double sum.
 
-The solver applies (-Delta)^s inside its own transforms and never calls
-fractional_laplacian; the O(M^{2N}) double sum is the FFT-free oracle of the
-seminorm.  They live with the tests because only the tests call them.
+The solver applies (-Delta)^s on the rfftn half spectrum inside its own
+transforms and never calls multiplier or fractional_laplacian; the
+O(M^{2N}) double sum is the FFT-free oracle of the seminorm.  They live
+with the tests because only the tests call them.
 """
 
 import math
 
 import numpy as np
 
-from fracsaddle.spectral import Field, fftn, ifftn, multiplier
+from fracsaddle.spectral import Field, Grid, fftn, ifftn
+
+
+def multiplier(grid: Grid, s: float) -> np.ndarray:
+    """The symbol |xi|^{2s} on the discrete frequency lattice (zero at xi=0)."""
+    return grid.freq_norm_sq() ** s
 
 
 def fractional_laplacian(u: Field, s: float) -> Field:

@@ -1,10 +1,21 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from fracsaddle.analysis import nodal_domains, sign_on_fundamental_domain
 from fracsaddle.coxeter import CoxeterGroup, named_group
 from fracsaddle import solver, spectral
-from fracsaddle.energy import energy, gradient, interaction, nehari_energy
+from fracsaddle.energy import (
+    _evaluate_field,
+    _force_hat,
+    _residual,
+    energy,
+    gradient,
+    interaction,
+    nehari_energy,
+    nehari_scale,
+)
 from fracsaddle.params import ModelParams
 from fracsaddle.solver import (
     CollapseToZero,
@@ -18,9 +29,22 @@ from fracsaddle.solver import (
     solve,
     symmetrize,
 )
-from fracsaddle.spectral import Field, Grid, hs_norm_sq, l2_norm_sq, seminorm_sq
+from fracsaddle.spectral import (
+    Field,
+    Grid,
+    fftn,
+    hs_norm_sq,
+    ifftn,
+    irfftn,
+    l2_norm_sq,
+    rfftn,
+    seminorm_sq,
+)
 
+from solver_reference import _gradient as reference_gradient
+from solver_reference import _residual as reference_residual
 from solver_reference import mountain_pass_check
+from spectral_reference import multiplier
 
 PARAMS = ModelParams(3, 0.5, 2.0, 2.0)
 GROUPS = ["A1", "A1xA1", "A2", "B2", "B3"]
@@ -388,3 +412,83 @@ def test_mountain_pass_peak_at_one():
     sol = solve(cfg, init_groundstate(g, PARAMS))
     peak = mountain_pass_check(sol, PARAMS)
     assert peak == pytest.approx(energy(sol.u, PARAMS).total, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "B2", "A1 solution"])
+def test_spectral_residual_and_plain_image_match_real_space(kind, rng):
+    # the residual and the plain image are formed on the rfftn half from
+    # F = (K * |u|^p)|u|^{p-2} u; the oracle forms g in real space from the
+    # full complex spectrum and takes w = P(u - B^{-1} g)
+    g = Grid(3, 16, 10.0)
+    G = None if kind == "smooth" else named_group(kind.split()[0])
+    if kind == "A1 solution":
+        sol = solve(SolverConfig(params=PARAMS, grid=g, group=G), init_saddle(g, G, PARAMS))
+        assert sol.converged
+        u = sol.u
+    else:
+        noise = rng.standard_normal(g.shape)
+        u = Field(g, irfftn(rfftn(noise) * np.exp(-0.3 * g.half_freq_norm_sq()), g.shape))
+        if G is not None:
+            u = symmetrize(u, G)
+        u = Field(g, nehari_scale(u, PARAMS) * u.values)
+    ev, mult = _evaluate_field(u, PARAMS)
+    fhat = _force_hat(u.values, ev, PARAMS.p)
+    got = _residual(g, (1.0 + mult) * ev.uhat - fhat, ev.uhat)
+    full = multiplier(g, PARAMS.s)
+    grad = reference_gradient(u.values, ev._replace(uhat=fftn(u.values)), full, PARAMS.p)
+    want = reference_residual(grad, u.values)
+    # the residual is relative to ||u||, and both routes round g at about
+    # eps ||u||: at a converged field (residual ~1e-6) that floor is the
+    # absolute term, not the relative one
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
+    project = (lambda v: v) if G is None else get_action(g, G).project
+    w = project(irfftn(fhat / (1.0 + mult), g.shape))
+    old = project(u.values - ifftn(fftn(grad) / (1.0 + full)).real)
+    assert np.abs(w - old).max() <= 1e-13 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("name", ["trivial", "A1"])
+def test_solve_transform_count(name, monkeypatch):
+    # one rfftn per evaluation; per iteration one rfftn of the force and,
+    # unless the iteration converged, one irfftn for the plain image; no
+    # full complex transform
+    g = Grid(3, 16, 10.0)
+    G = named_group(name)
+    init = init_groundstate(g, PARAMS) if G.is_trivial() else init_saddle(g, G, PARAMS)
+    calls = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
+
+    def counted(fname, fn):
+        def wrapper(*args, **kwargs):
+            calls[fname] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (importlib.import_module("fracsaddle.energy"), solver):
+        for fname in calls:
+            if hasattr(mod, fname):
+                monkeypatch.setattr(mod, fname, counted(fname, getattr(mod, fname)))
+    sol = solve(SolverConfig(params=PARAMS, grid=g, group=G), init)
+    assert sol.converged
+    assert calls["fftn"] == calls["ifftn"] == 0
+    assert calls["rfftn"] == sol.metadata["evaluations"] + sol.iterations
+    assert calls["irfftn"] <= sol.iterations
+
+
+@pytest.mark.parametrize("name", ["A1xA1", "B2"])
+def test_solve_evaluates_class_members_only(name, monkeypatch):
+    # the Anderson mix is formed without projecting it again, so every field
+    # the solve evaluates must already be a fixed point of the projection
+    g = Grid(3, 16, 10.0)
+    G = named_group(name)
+    action = get_action(g, G)
+    evaluate = solver._evaluate
+    in_class = []
+
+    def checked(values, *args):
+        in_class.append(np.array_equal(action.project(values), values))
+        return evaluate(values, *args)
+
+    monkeypatch.setattr(solver, "_evaluate", checked)
+    sol = solve(SolverConfig(params=PARAMS, grid=g, group=G), init_saddle(g, G, PARAMS))
+    assert sol.converged and sol.metadata["mixes_accepted"] >= 1
+    assert len(in_class) == sol.metadata["evaluations"] and all(in_class)

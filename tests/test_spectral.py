@@ -9,19 +9,19 @@ from fracsaddle.spectral import (
     Grid,
     build_riesz_kernel,
     fftn,
+    half_inner,
     half_parseval_sum,
     hs_norm_sq,
     ifftn,
     irfftn,
     l2_norm_sq,
-    multiplier,
     origin_cell_average,
     rfftn,
     riesz_convolve,
     seminorm_sq,
 )
 
-from spectral_reference import fractional_laplacian, gagliardo_norm_sq
+from spectral_reference import fractional_laplacian, gagliardo_norm_sq, multiplier
 
 # Origin-cell averages of |x|^{alpha-N} over the unit cell in 3-D, computed
 # independently of the face-integral rule: by adaptive volume quadrature
@@ -153,6 +153,10 @@ def test_half_parseval_sum_matches_full_spectrum(N, rng):
     want = g.cellvol / g.n_nodes * np.sum(symbol * np.abs(full) ** 2)
     got = half_parseval_sum(g, rfftn(u), 1.0 + g.half_freq_norm_sq() ** 0.5)
     assert got == pytest.approx(want, rel=1e-14)
+    # and the inner product of two real fields from their halves
+    v = rng.standard_normal(g.shape) - 1.0 + (-1.0) ** last
+    inner = half_inner(g, rfftn(u), rfftn(v))
+    assert inner == pytest.approx(g.cellvol * np.sum(u * v), rel=1e-13)
 
 
 def test_l2_norm_of_constant():
