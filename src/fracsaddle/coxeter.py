@@ -57,31 +57,6 @@ def _signed_permutations(n: int) -> np.ndarray:
     return (signs[None, :, :, None] * rows[:, None]).reshape(-1, n, n)
 
 
-def element_sign(m: np.ndarray) -> int:
-    """Determinant of a signed-permutation matrix, computed exactly.
-
-    Decomposes the matrix into a permutation and a sign vector; the
-    determinant is the permutation parity times the product of signs.
-    """
-    cols = np.abs(m).argmax(axis=1)
-    vals = m[np.arange(m.shape[0]), cols]
-    # permutation parity via cycle decomposition
-    seen = np.zeros(len(cols), dtype=bool)
-    parity = 1
-    for i in range(len(cols)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = cols[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return int(parity * vals.prod())
-
-
 def is_reflection(m: np.ndarray) -> bool:
     """True iff m is a linear reflection: symmetric involution with a single -1 eigenvalue."""
     k = m.shape[0]
@@ -168,9 +143,9 @@ class CoxeterGroup:
             self.rank = _elements.shape[1]
             self.elements = _elements
         self.generators = gens
-        self.signs = np.array([element_sign(g) for g in self.elements], dtype=np.int64)
+        # LU pivots on the +-1 entries, so the determinant comes out exact
+        self.signs = np.rint(np.linalg.det(self.elements)).astype(np.int64)
         self.name = name
-        self._index = {_key(g): i for i, g in enumerate(self.elements)}
 
     @staticmethod
     def _bfs_closure(gens):
@@ -228,12 +203,6 @@ class CoxeterGroup:
         best = forms.index(min(forms))
         return forms[best], sigmas[best, 0]
 
-    def index_of(self, g) -> int:
-        kb = _key(_as_element(g))
-        if kb not in self._index:
-            raise ValueError("element not in group")
-        return self._index[kb]
-
     def reflections(self):
         """All reflections contained in the group."""
         return [g for g in self.elements if is_reflection(g)]
@@ -261,49 +230,23 @@ class CoxeterGroup:
     def chamber(self) -> Chamber:
         """Fundamental chamber bounded by the simple system of the group's walls.
 
-        The positive roots are the reflection normals oriented against a
-        generic vector; a root is simple when it is not a strictly positive
-        combination of two other positive roots.  For the named groups this
-        reproduces the standard simple-root chambers (e.g. x1 >= x2 >= 0
-        for the full signed-permutation group of rank 2).
+        The positive roots are the primitive reflection normals (e_i or
+        e_i +- e_j) oriented to have a positive dot with (k, k-1, ..., 1),
+        whose distinct positive entries keep it off every wall.  These roots
+        form a crystallographic root system, a subsystem of B_k, so a
+        positive root is simple exactly when it is not the sum of two
+        positive roots: an integer test, with no tolerance.  For the named
+        groups this gives the standard simple-root chambers (e.g.
+        x1 >= x2 >= 0 for the full signed-permutation group of rank 2).
         """
         refl = self.reflections()
         if not refl:
             raise ValueError("trivial group has no chamber walls")
-        generic = np.arange(self.rank, 0, -1, dtype=float)  # (k, k-1, ..., 1)
-        roots = []
-        seen = set()
-        for r in refl:
-            n = reflection_normal(r)
-            d = float(n @ generic)
-            if abs(d) < _DEDUP_TOL:
-                raise ValueError("generic vector lies on a wall; unsupported normal type")
-            if d < 0:
-                n = -n
-            kb = tuple(int(v) for v in n)
-            if kb not in seen:
-                seen.add(kb)
-                roots.append(n)
-        simple = []
-        for i, n in enumerate(roots):
-            if not _is_positive_combination(n, [roots[j] for j in range(len(roots)) if j != i]):
-                simple.append(n)
+        generic = np.arange(self.rank, 0, -1)
+        roots = [n if n @ generic > 0 else -n for n in map(reflection_normal, refl)]
+        positive = {tuple(n) for n in roots}
+        simple = [n for n in roots if not any(tuple(n - m) in positive for m in roots)]
         return Chamber(np.array(simple, dtype=float))
-
-
-def _is_positive_combination(n, others) -> bool:
-    """True iff n = a*u + b*v with a, b > 0 for some pair u, v from others."""
-    nf = np.asarray(n, dtype=float)
-    m = len(others)
-    for i in range(m):
-        for j in range(i + 1, m):
-            basis = np.stack([others[i], others[j]], axis=1).astype(float)
-            coef, residual, rank_, _ = np.linalg.lstsq(basis, nf, rcond=None)
-            if rank_ < 2:
-                continue
-            if np.abs(basis @ coef - nf).max() < 1e-9 and (coef > 1e-9).all():
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,11 @@ class SolverConfig:
     R: float | None = None  # saddle bump scale; None picks default_saddle_radius
 
     def __post_init__(self):
+        if self.grid.N_dims != self.params.N:
+            raise ValueError(
+                f"the grid has {self.grid.N_dims} dimensions but the problem "
+                f"has N = {self.params.N}"
+            )
         if not admissible(self.params):
             raise ValueError(f"inadmissible problem parameters {self.params}")
         if not 0.0 < self.tol < np.inf:
@@ -72,19 +77,17 @@ class Solution:
 def _index_table(grid: Grid, m: np.ndarray) -> np.ndarray:
     """Flat source indices: table[j] = flat index of m x_j (periodic).
 
-    With x_k = -L/2 + k h, the reflected node -x_k sits at index (M - k) % M,
-    so signed permutations act exactly on indices and never interpolate.
+    Axis r of the source index is the node's index on the axis c with
+    m[r, c] != 0, negated where m[r, c] = -1.  With x_k = -L/2 + k h, the
+    negated node -x_k sits at index (M - k) % M.  On np.arange(n) shaped
+    like the grid, the negation is a flip of axis r and a roll by one, and
+    the choice of axes is a transpose, so signed permutations act exactly
+    on indices and never interpolate.
     """
-    M, N = grid.M, grid.N_dims
-    idx = np.indices(grid.shape)
-    src = np.empty_like(idx)
-    for r in range(N):
-        c = int(np.argmax(np.abs(m[r])))
-        if m[r, c] > 0:
-            src[r] = idx[c]
-        else:
-            src[r] = (M - idx[c]) % M
-    return np.ravel_multi_index(tuple(src), grid.shape).ravel()
+    a = np.arange(grid.n_nodes).reshape(grid.shape)
+    for r in np.flatnonzero(m.sum(axis=1) < 0):
+        a = np.roll(np.flip(a, r), 1, r)
+    return a.transpose(np.abs(m).argmax(axis=0)).ravel()
 
 
 class GroupAction:
@@ -107,8 +110,7 @@ class GroupAction:
         self.signs = group.signs.astype(np.float64)
         self.tables = np.empty((order, n), dtype=np.int64)
         for i, g in enumerate(group.elements):
-            ginv = np.ascontiguousarray(g.T)
-            self.tables[i] = _index_table(grid, _embed(ginv, grid.N_dims))
+            self.tables[i] = _index_table(grid, _embed(g.T, grid.N_dims))
         # nodes fixed by any orientation-reversing element must vanish
         self_idx = np.arange(n)
         wall = np.zeros(n, dtype=bool)
@@ -120,18 +122,18 @@ class GroupAction:
         rep = self.tables.min(axis=0)
         self.rep_sel = np.flatnonzero((rep == self_idx) & ~wall)
         self.gather = self.tables[:, self.rep_sel]
-        self.id_row = group.index_of(np.eye(group.rank, dtype=np.int64))
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """P_G u = (1/|G|) sum_g phi(g) u(g^{-1} x), exactly idempotent.
 
         Averages once per orbit, then scatters the value back through the
-        group with the sign character.  The base term is the identity row,
-        so a field already in the range passes through bitwise.
+        group with the sign character.  The base term is row 0, the identity
+        (CoxeterGroup.elements lists it first), so a field already in the
+        range passes through bitwise.
         """
         flat = values.ravel()
         rows = self.signs[:, None] * flat[self.gather]
-        base = rows[self.id_row]
+        base = rows[0]
         v = base + (rows - base).sum(axis=0) / len(self.signs)
         out = np.empty_like(flat)
         for i in range(len(self.signs)):
@@ -149,7 +151,7 @@ def get_action(grid: Grid, group: CoxeterGroup) -> GroupAction:
 
     Groups of any rank that act alike on the grid share one action.  Its rows
     follow the element order of the group that built it, so index
-    action.tables with action.signs, not with another group's index_of.
+    action.tables with action.signs, not with another group's element order.
     Conjugate groups have other tables and are keyed apart.
     """
     return _action_cache.lookup(
@@ -206,10 +208,12 @@ def init_saddle(
 ) -> Field:
     """Signed bump arrangement in the saddle class, Nehari-projected.
 
-    Takes a unit direction q through the chamber interior, places a Gaussian
-    of width R/2 at each point of the orbit of l_G R q with sign phi(g), then
-    symmetrizes exactly and scales onto the Nehari set.  The rank-1 case
-    reduces to two opposite bumps at +-3R along the wall normal.
+    Takes a unit direction q through the chamber interior and places one
+    Gaussian of width R/2 at l_G R q, at minimum-image distance in the
+    periodic box.  The class projection then builds the signed orbit
+    exactly, a bump of sign phi(g) at each g l_G R q, and the result is
+    scaled onto the Nehari set.  The rank-1 case reduces to two opposite
+    bumps at +-3R along the wall normal.
     """
     if G.is_trivial():
         raise ValueError("saddle initializer needs a nontrivial group")
@@ -224,30 +228,15 @@ def init_saddle(
             f"{grid.L / 2.0 - 3.0 * R:.3f}; shrink R"
         )
     q = G.chamber().interior_point()
-    q = q / np.linalg.norm(q)
-    sym = symmetrize(Field(grid, _place_signed_bumps(grid, G, q, ell * R, R / 2.0)), G)
+    center = np.zeros(grid.N_dims)
+    center[: G.rank] = ell * R * (q / np.linalg.norm(q))
+    L = grid.L
+    offsets = (np.mod(x - c + L / 2.0, L) - L / 2.0 for x, c in zip(grid.coords(), center))
+    sym = symmetrize(Field(grid, np.exp(-sum(d**2 for d in offsets) / (R / 2.0) ** 2)), G)
     if np.sqrt(float(grid.cellvol * np.sum(sym.values**2))) <= _ZERO_TOL:
         # only bumps narrower than the grid can vanish under the projection
         raise CollapseToZero("signed bump arrangement symmetrized to zero")
     return _nehari_project(sym, params)
-
-
-def _place_signed_bumps(grid, G, q, radius, width):
-    N = grid.N_dims
-    centers = np.zeros((G.order, N))
-    for i, g in enumerate(G.elements):
-        centers[i, : G.rank] = radius * (g @ q)
-    coords = grid.coords()
-    L = grid.L
-    vals = np.zeros(grid.shape)
-    for i in range(G.order):
-        r2 = 0.0
-        for ax in range(N):
-            d = coords[ax] - centers[i, ax]
-            d = np.mod(d + L / 2.0, L) - L / 2.0
-            r2 = r2 + d**2
-        vals += float(G.signs[i]) * np.exp(-r2 / width**2)
-    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ Hermitian weights of half_power.
 
 The transforms are numpy.fft's (pocketfft, one thread), one axis at a time
 in a single buffer per call: numpy's own fftn allocates a new array for
-every axis.  A real input to fftn is transformed on its half spectrum and
-mirrored.
+every axis.
 
 The Riesz convolution K_alpha * f is computed as a linear (non-circular)
 convolution: f is zero-padded onto a doubled grid covering [-L, L)^N and
@@ -126,24 +125,7 @@ def _in_place(transform, spec: np.ndarray, axes) -> np.ndarray:
 
 
 def fftn(a: np.ndarray) -> np.ndarray:
-    """Complex transform over every axis.
-
-    A real input is transformed to its rfftn half, and the other half
-    follows from Hermitian symmetry, X[-k] = conj X[k]: about half the work
-    of a complex transform.  On the leading axes k -> -k is a flip followed
-    by a shift by one; on the last axis it is the reversed slice.
-    """
-    if np.iscomplexobj(a):
-        return _in_place(np.fft.fft, np.array(a, np.complex128), range(a.ndim))
-    n = a.shape[-1]
-    m = n // 2 + 1
-    out = np.empty(a.shape, np.complex128)
-    half = out[..., :m]
-    lead = tuple(range(a.ndim - 1))
-    _in_place(np.fft.fft, np.fft.rfft(a, axis=-1, out=half), lead)
-    mirror = np.flip(half[..., n - m:0:-1], lead)
-    np.conjugate(np.roll(mirror, 1, lead), out=out[..., m:])
-    return out
+    return _in_place(np.fft.fft, np.array(a, np.complex128), range(a.ndim))
 
 
 def ifftn(a: np.ndarray) -> np.ndarray:

@@ -1,15 +1,18 @@
-"""The geometric route to point stabilizers and breakup candidates, used by
-the tests as an oracle for the group and chamber code.
+"""The geometric route to point stabilizers and breakup candidates, and the
+earlier routes to signs and chamber walls, used by the tests as oracles for
+the group and chamber code.
 
 The package takes its breakup levels straight from the chamber walls
 (analysis._breakup_levels); these find them through floating-point points
-of the chamber, their stabilizers and their orbits.  They live with the
-tests because only they call them.
+of the chamber, their stabilizers and their orbits.  The package takes its
+signs from a rounded determinant and its walls from an integer root-sum
+test; these take them from the cycle parity and from pairwise least
+squares.  They live with the tests because only they call them.
 """
 
 import numpy as np
 
-from fracsaddle.coxeter import _DEDUP_TOL, Chamber, CoxeterGroup, is_reflection
+from fracsaddle.coxeter import _DEDUP_TOL, Chamber, CoxeterGroup, is_reflection, reflection_normal
 
 
 def stabilizer(G: CoxeterGroup, x) -> CoxeterGroup:
@@ -57,3 +60,65 @@ def facet_candidates(G: CoxeterGroup):
         if ok:
             cands.append(x)
     return cands
+
+
+def element_sign(m: np.ndarray) -> int:
+    """Determinant of a signed-permutation matrix, computed exactly.
+
+    Decomposes the matrix into a permutation and a sign vector; the
+    determinant is the permutation parity times the product of signs.
+    """
+    cols = np.abs(m).argmax(axis=1)
+    vals = m[np.arange(m.shape[0]), cols]
+    # permutation parity via cycle decomposition
+    seen = np.zeros(len(cols), dtype=bool)
+    parity = 1
+    for i in range(len(cols)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = cols[j]
+            length += 1
+        if length % 2 == 0:
+            parity = -parity
+    return int(parity * vals.prod())
+
+
+def _is_positive_combination(n, others) -> bool:
+    """True iff n = a*u + b*v with a, b > 0 for some pair u, v from others."""
+    nf = np.asarray(n, dtype=float)
+    m = len(others)
+    for i in range(m):
+        for j in range(i + 1, m):
+            basis = np.stack([others[i], others[j]], axis=1).astype(float)
+            coef, residual, rank_, _ = np.linalg.lstsq(basis, nf, rcond=None)
+            if rank_ < 2:
+                continue
+            if np.abs(basis @ coef - nf).max() < 1e-9 and (coef > 1e-9).all():
+                return True
+    return False
+
+
+def lstsq_chamber_normals(G: CoxeterGroup) -> np.ndarray:
+    """Chamber normals by the positive-combination test: the positive roots
+    (reflection normals oriented against (k, ..., 1)) that are no strictly
+    positive combination of two other positive roots, in reflection order."""
+    generic = np.arange(G.rank, 0, -1, dtype=float)
+    roots = []
+    seen = set()
+    for r in G.reflections():
+        n = reflection_normal(r)
+        if float(n @ generic) < 0:
+            n = -n
+        kb = tuple(int(v) for v in n)
+        if kb not in seen:
+            seen.add(kb)
+            roots.append(n)
+    simple = [
+        n for i, n in enumerate(roots)
+        if not _is_positive_combination(n, [roots[j] for j in range(len(roots)) if j != i])
+    ]
+    return np.array(simple, dtype=float)

@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,16 +8,36 @@ from fracsaddle.coxeter import (
     _DEDUP_TOL,
     Chamber,
     CoxeterGroup,
-    element_sign,
     is_reflection,
     named_group,
     reflection_normal,
 )
 
-from coxeter_reference import contains, stabilizer
+from coxeter_reference import contains, element_sign, lstsq_chamber_normals, stabilizer
 
 NAMES = ["A1", "A1xA1", "A2", "B2", "B3"]
 KNOWN_ORDERS = {"trivial": 1, "A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "B3": 48}
+
+
+def full_signed_group(k: int) -> CoxeterGroup:
+    """B_k, every signed permutation of k axes, from its Coxeter generators."""
+    gens = [np.diag([-1] + [1] * (k - 1))]
+    for i in range(k - 1):
+        swap = np.eye(k, dtype=np.int64)
+        swap[[i, i + 1]] = swap[[i + 1, i]]
+        gens.append(swap)
+    return CoxeterGroup(gens)
+
+
+def reflection_subgroups(k: int) -> list:
+    """Every reflection subgroup of B_k (k <= 3), one per element set: each is
+    generated by its at most k simple reflections."""
+    found = {}
+    for n in range(1, k + 1):
+        for gens in combinations(full_signed_group(k).reflections(), n):
+            G = CoxeterGroup(list(gens))
+            found.setdefault(G.fingerprint(), G)
+    return list(found.values())
 
 
 def active_walls(chamber: Chamber, x, tol: float = _DEDUP_TOL) -> np.ndarray:
@@ -63,6 +86,23 @@ def test_sign_is_determinant(name):
     G = named_group(name)
     for m, s in zip(G.elements, G.signs):
         assert round(np.linalg.det(m)) == s
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_signs_match_cycle_parity(k):
+    # B_k holds every signed permutation of k axes
+    G = full_signed_group(k)
+    assert G.order == 2**k * math.factorial(k)
+    assert G.signs.tolist() == [element_sign(g) for g in G.elements]
+
+
+def test_chamber_normals_match_lstsq_oracle():
+    # the integer root-sum test against pairwise positive combinations, walls
+    # in the same order, over every reflection subgroup of B2 and B3
+    subgroups = reflection_subgroups(2) + reflection_subgroups(3)
+    assert len(subgroups) == 44
+    for G in subgroups:
+        assert np.array_equal(G.chamber().normals, lstsq_chamber_normals(G))
 
 
 @pytest.mark.parametrize("name", NAMES)

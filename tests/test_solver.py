@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracsaddle.analysis import nodal_domains, sign_on_fundamental_domain
-from fracsaddle.coxeter import CoxeterGroup, named_group
+from fracsaddle.coxeter import CoxeterGroup, _signed_permutations, named_group
 from fracsaddle import solver, spectral
 from fracsaddle.energy import (
     _evaluate_field,
@@ -50,12 +50,29 @@ PARAMS = ModelParams(3, 0.5, 2.0, 2.0)
 GROUPS = ["A1", "A1xA1", "A2", "B2", "B3"]
 
 
+def element_row(G, m):
+    """The index of element m in G.elements, which orders the action's rows."""
+    return next(i for i, g in enumerate(G.elements) if np.array_equal(g, m))
+
+
 def test_action_table_flip_1d():
     G = named_group("A1")
     action = GroupAction(Grid(1, 8, 4.0), G)
     # node x_k = -2 + k/2 maps to index (8 - k) % 8 under x -> -x
-    row = action.tables[G.index_of(np.array([[-1]]))]
+    row = action.tables[element_row(G, [[-1]])]
     assert np.array_equal(row, (8 - np.arange(8)) % 8)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_index_table_matches_coordinate_map(k):
+    # table[j] = flat index of m x_j: map the node's coordinates, wrap them
+    # into [-L/2, L/2) and round back to lattice indices
+    g = Grid(k, 8, 4.0)
+    x = np.stack([c.ravel() for c in np.meshgrid(*([g.axis_nodes()] * k), indexing="ij")])
+    for m in _signed_permutations(k):
+        y = np.mod(m @ x + g.L / 2.0, g.L)
+        want = np.ravel_multi_index(tuple(np.rint(y / g.h).astype(np.int64) % g.M), g.shape)
+        assert np.array_equal(solver._index_table(g, m), want)
 
 
 def test_action_table_swap_2d(rng):
@@ -63,7 +80,7 @@ def test_action_table_swap_2d(rng):
     vals = rng.standard_normal(g.shape)
     swap = np.array([[0, 1], [1, 0]])
     G = CoxeterGroup([swap])
-    row = GroupAction(g, G).tables[G.index_of(swap)]
+    row = GroupAction(g, G).tables[element_row(G, swap)]
     assert np.array_equal(vals.ravel()[row].reshape(g.shape), vals.T)
 
 
@@ -205,6 +222,13 @@ def test_solver_config_validation():
         SolverConfig(params=PARAMS, grid=g, group=G, max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(params=PARAMS, grid=Grid(2, 8, 4.0), group=named_group("B3"))
+    # a 2-D grid once solved the N = 2 problem for N = 3 parameters, past the
+    # admissibility check that keeps N = 2 experimental
+    with pytest.raises(ValueError, match="the grid has 2 dimensions but the problem has N = 3"):
+        SolverConfig(params=ModelParams(3, 0.5, 1.5, 2.0), grid=Grid(2, 16, 8.0), group=G)
+    N2 = ModelParams(2, 0.5, 1.5, 2.0, experimental=True)
+    with pytest.raises(ValueError, match="group acts on 3 coordinates"):
+        SolverConfig(params=N2, grid=Grid(2, 8, 4.0), group=named_group("B3"))
     # p = 2 is the upper critical exponent (N + alpha)/(N - 2s) here
     with pytest.raises(ValueError):
         SolverConfig(params=ModelParams(3, 0.5, 1.0, 2.0), grid=g, group=G)

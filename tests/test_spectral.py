@@ -124,7 +124,7 @@ def test_norm_decomposition(rng):
 
 @pytest.mark.parametrize("shape", [(9,), (10,), (7, 5), (6, 8), (5, 7, 9), (4, 6, 8)])
 def test_transforms_match_scipy(shape, rng):
-    # odd and even lengths: a real fftn input is mirrored from its half spectrum
+    # odd and even lengths, real and complex inputs
     r = rng.standard_normal(shape)
     c = r + 1j * rng.standard_normal(shape)
     half = sfft.rfftn(r)
