@@ -29,7 +29,7 @@ from .coxeter import (
     CoxeterGroup,
     named_group,
 )
-from .energy import EnergyBreakdown, energy, gradient, interaction, nehari_energy, nehari_scale
+from .energy import EnergyBreakdown, energy, gradient, interaction, nehari_energy
 from .extension import YGrid, energy_identity_check, psi_profile
 from .fieldio import ConfigError, load_config, read_field, resolve_group, write_field, write_report
 from .params import ModelParams, admissible, critical_exponent, extension_constant, riesz_constant
@@ -37,8 +37,7 @@ from .solver import (
     CollapseToZero,
     Solution,
     SolverConfig,
-    init_groundstate,
-    init_saddle,
+    initial_guess,
     solve,
     symmetrize,
 )
@@ -79,14 +78,12 @@ __all__ = [
     "extension_constant",
     "gradient",
     "hs_norm_sq",
-    "init_groundstate",
-    "init_saddle",
+    "initial_guess",
     "interaction",
     "l2_norm_sq",
     "load_config",
     "named_group",
     "nehari_energy",
-    "nehari_scale",
     "nodal_domains",
     "psi_profile",
     "read_field",

@@ -8,7 +8,7 @@ import numpy as np
 
 from .coxeter import CoxeterGroup
 from .energy import _action, _evaluate_field, _force_hat, _gradient_hat, _residual
-from .solver import SolverConfig, _index_table, init_groundstate, init_saddle, solve
+from .solver import SolverConfig, _index_table, initial_guess, solve
 from .spectral import Field
 
 
@@ -199,11 +199,7 @@ def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = No
     form, sigma = group.canonical_form(cfg.grid.N_dims)
     key = (form, cfg.grid, cfg.params, cfg.tol, cfg.max_iters, cfg.R)
     if key not in cache:
-        if group.is_trivial():
-            u0 = init_groundstate(cfg.grid, cfg.params)
-        else:
-            u0 = init_saddle(cfg.grid, group, cfg.params, R=cfg.R)
-        cache[key] = (solve(cfg, u0), sigma)
+        cache[key] = (solve(cfg, initial_guess(cfg)), sigma)
     sol, sigma0 = cache[key]
     S = sigma0.T @ sigma
     if np.array_equal(S, np.eye(len(S), dtype=S.dtype)):

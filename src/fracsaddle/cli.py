@@ -30,14 +30,8 @@ from .fieldio import (
     write_field,
     write_report,
 )
-from .params import constants_for, critical_exponent
-from .solver import (
-    CollapseToZero,
-    SolverConfig,
-    init_groundstate,
-    init_saddle,
-    solve,
-)
+from .params import critical_exponent, extension_constant, riesz_constant
+from .solver import CollapseToZero, SolverConfig, initial_guess, solve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _prepare(args, allow_s_list=False):
-    cfg = load_config(args.config, allow_s_list=allow_s_list)
+def _prepare(args, allow_s_list=False, unread=("seed",)):
+    cfg = load_config(args.config, allow_s_list=allow_s_list, unread=unread)
     if args.out is not None:
         cfg["output"]["dir"] = args.out
     return cfg
@@ -87,9 +81,9 @@ def _solver_config(cfg, group) -> SolverConfig:
     )
 
 
-def _run_and_write(cfg, sc: SolverConfig, initial) -> int:
+def _run_and_write(cfg, sc: SolverConfig) -> int:
     """Solve, measure the nodal domains and the tail once, and write both."""
-    sol = solve(sc, initial)
+    sol = solve(sc, initial_guess(sc))
     group = sc.group
     nodal = nodal_domains(sol.u)
     slope = reason = None
@@ -120,12 +114,11 @@ def _run_and_write(cfg, sc: SolverConfig, initial) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    cfg = _prepare(args)
+    cfg = _prepare(args, unread=("seed", "R"))
     group = resolve_group(cfg["group_spec"])
     if not group.is_trivial():
         raise ConfigError("groundstate runs need the trivial group")
-    u0 = init_groundstate(cfg["grid"], cfg["params"])
-    return _run_and_write(cfg, _solver_config(cfg, group), u0)
+    return _run_and_write(cfg, _solver_config(cfg, group))
 
 
 def cmd_saddle(args) -> int:
@@ -133,9 +126,7 @@ def cmd_saddle(args) -> int:
     group = resolve_group(cfg["group_spec"])
     if group.is_trivial():
         raise ConfigError("saddle runs need a nontrivial group")
-    sc = _solver_config(cfg, group)
-    u0 = init_saddle(cfg["grid"], group, cfg["params"], R=sc.R)
-    return _run_and_write(cfg, sc, u0)
+    return _run_and_write(cfg, _solver_config(cfg, group))
 
 
 def cmd_table(args) -> int:
@@ -166,7 +157,7 @@ def cmd_decay(args) -> int:
 
 
 def cmd_extension_check(args) -> int:
-    cfg = _prepare(args, allow_s_list=True)
+    cfg = _prepare(args, allow_s_list=True, unread=())
     grid = cfg["grid"]
     J = 256
     seed = cfg["solver"]["seed"] if args.seed is None else args.seed
@@ -195,10 +186,9 @@ def cmd_extension_check(args) -> int:
 def cmd_info(args) -> int:
     cfg = load_config(args.config)
     params = cfg["params"]
-    c = constants_for(params)
     print(f"N={params.N} s={params.s} alpha={params.alpha} p={params.p}")
-    print(f"A_alpha            = {c.A_alpha:.12g}")
-    print(f"k_s                = {c.k_s:.12g}")
+    print(f"A_alpha            = {riesz_constant(params.N, params.alpha):.12g}")
+    print(f"k_s                = {extension_constant(params.s):.12g}")
     print(f"critical exponent  = {critical_exponent(params):.12g}")
     return 0
 

@@ -112,7 +112,7 @@ class Chamber:
 
 
 class CoxeterGroup:
-    """Finite signed-permutation reflection group with sign character and orbit queries.
+    """Finite signed-permutation reflection group with its sign character.
 
     Attributes
     ----------
@@ -206,26 +206,6 @@ class CoxeterGroup:
     def reflections(self):
         """All reflections contained in the group."""
         return [g for g in self.elements if is_reflection(g)]
-
-    def orbit(self, x) -> np.ndarray:
-        """Deduplicated orbit {g x : g in G} as an (n_points, k) array.
-
-        Integer vectors are deduplicated exactly; real vectors with an
-        absolute tolerance of 1e-12 (via rounding to 12 decimals).
-        """
-        x = np.asarray(x)
-        images = self.elements @ x.astype(
-            np.int64 if np.issubdtype(x.dtype, np.integer) else float
-        )
-        seen = {}
-        for img in images:
-            if np.issubdtype(images.dtype, np.integer):
-                kb = tuple(int(v) for v in img)
-            else:
-                kb = tuple(np.round(img, 12) + 0.0)  # +0.0 normalizes -0.0
-            if kb not in seen:
-                seen[kb] = img
-        return np.array(list(seen.values()))
 
     def chamber(self) -> Chamber:
         """Fundamental chamber bounded by the simple system of the group's walls.

@@ -122,14 +122,6 @@ def gradient(u: Field, params: ModelParams) -> Field:
     return Field(u.grid, irfftn(ghat, u.grid.shape))
 
 
-def nehari_scale(u: Field, params: ModelParams) -> float:
-    """The t > 0 with <I'(tu), tu> = 0, i.e. (||u||^2 / D(u))^{1/(2p-2)}."""
-    ev, _ = _evaluate_field(u, params)
-    if ev.D <= 0.0:
-        raise ValueError("nehari_scale needs interaction(u) > 0")
-    return _nehari_factor(ev.Q, ev.D, params.p)
-
-
 def nehari_energy(u: Field, params: ModelParams) -> float:
     """Energy at the Nehari crossing of the ray through u, in closed form:
     (1/2 - 1/2p) ||u||^{2p/(p-1)} / D(u)^{1/(p-1)}."""

@@ -52,7 +52,7 @@ def _number(where: str, value, integer: bool = False):
     return int(value)
 
 
-def load_config(path, allow_s_list=False) -> dict:
+def load_config(path, allow_s_list=False, unread=()) -> dict:
     """Parse and validate a run configuration file.
 
     Returns a resolved dict with keys params, grid, group_spec, solver,
@@ -62,6 +62,7 @@ def load_config(path, allow_s_list=False) -> dict:
     order); params then carries the first value and every listed value is
     checked against the norm-side constraints only.  s_values holds the
     validated values of 's' as floats, a single one when 's' is a number.
+    A solver key named in unread is refused: the command would not read it.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -119,6 +120,8 @@ def load_config(path, allow_s_list=False) -> dict:
 
     solver = dict(_SOLVER_DEFAULTS)
     for k, v in raw.get("solver", {}).items():
+        if k in unread:
+            raise ConfigError(f"'solver.{k}' is not read by this command; remove it")
         if k != "R" or v is not None:
             v = _number(f"solver.{k}", v, integer=k in ("max_iters", "seed"))
         solver[k] = v
@@ -167,8 +170,8 @@ def group_name_list(group_spec: dict):
 def resolved_config_dict(params, grid, group, solver: dict, output: dict) -> dict:
     """Full defaulted config echo so a solve is reproducible from its report.
 
-    solver.seed is left out: it draws extension-check's test field, and no
-    solve reads it.
+    solver.seed is left out: it draws extension-check's test field, and a
+    solve command refuses it.
     """
     return {
         "problem": {

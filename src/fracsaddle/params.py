@@ -28,14 +28,6 @@ class ModelParams:
     experimental: bool = False
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Derived constants: Riesz normalization and extension constant."""
-
-    A_alpha: float
-    k_s: float
-
-
 def admissible(params: ModelParams) -> bool:
     """Pure predicate: True iff the parameter quadruple is in the admissible range.
 
@@ -83,11 +75,3 @@ def extension_constant(s: float) -> float:
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1); got {s}")
     return 2.0 ** (1.0 - 2.0 * s) * math.gamma(1.0 - s) / math.gamma(s)
-
-
-def constants_for(params: ModelParams) -> Constants:
-    """Bundle the derived constants for a parameter set."""
-    return Constants(
-        A_alpha=riesz_constant(params.N, params.alpha),
-        k_s=extension_constant(params.s),
-    )

@@ -67,9 +67,6 @@ class Grid:
     def axis_nodes(self) -> np.ndarray:
         return -self.L / 2 + self.h * np.arange(self.M)
 
-    def axis_freqs(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.M, d=self.h)
-
     def coords(self):
         """Sparse broadcastable coordinate arrays, one per axis."""
         x = self.axis_nodes()
@@ -79,17 +76,13 @@ class Grid:
         """|x| at every node (dense array)."""
         return np.sqrt(sum(c**2 for c in self.coords()))
 
-    def freq_norm_sq(self) -> np.ndarray:
-        xi = self.axis_freqs()
-        grids = np.meshgrid(*([xi] * self.N_dims), indexing="ij", sparse=True)
-        return sum(g**2 for g in grids)
-
     def half_freq_norm_sq(self) -> np.ndarray:
-        """|xi|^2 on the rfftn half spectrum: last-axis bins 0..M/2.
-
-        Bin M/2 holds -M/2 in fftfreq order; squared, it is the Nyquist bin.
-        """
-        return np.ascontiguousarray(self.freq_norm_sq()[..., : self.M // 2 + 1])
+        """|xi|^2 on the rfftn half spectrum: every bin of the leading axes in
+        fftfreq order, and the rfft bins 0..M/2 of the last axis."""
+        xi = 2.0 * np.pi * np.fft.fftfreq(self.M, d=self.h)
+        half = 2.0 * np.pi * np.fft.rfftfreq(self.M, d=self.h)
+        grids = np.meshgrid(*([xi] * (self.N_dims - 1)), half, indexing="ij", sparse=True)
+        return sum(g**2 for g in grids)
 
     def doubled(self) -> "Grid":
         return Grid(self.N_dims, 2 * self.M, 2 * self.L)

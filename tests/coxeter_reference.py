@@ -1,6 +1,6 @@
-"""The geometric route to point stabilizers and breakup candidates, and the
-earlier routes to signs and chamber walls, used by the tests as oracles for
-the group and chamber code.
+"""The geometric route to orbits, point stabilizers and breakup candidates,
+and the earlier routes to signs and chamber walls, used by the tests as
+oracles for the group and chamber code.
 
 The package takes its breakup levels straight from the chamber walls
 (analysis._breakup_levels); these find them through floating-point points
@@ -13,6 +13,27 @@ squares.  They live with the tests because only they call them.
 import numpy as np
 
 from fracsaddle.coxeter import _DEDUP_TOL, Chamber, CoxeterGroup, is_reflection, reflection_normal
+
+
+def orbit(G: CoxeterGroup, x) -> np.ndarray:
+    """Deduplicated orbit {g x : g in G} as an (n_points, k) array.
+
+    Integer vectors are deduplicated exactly; real vectors with an
+    absolute tolerance of 1e-12 (via rounding to 12 decimals).
+    """
+    x = np.asarray(x)
+    images = G.elements @ x.astype(
+        np.int64 if np.issubdtype(x.dtype, np.integer) else float
+    )
+    seen = {}
+    for img in images:
+        if np.issubdtype(images.dtype, np.integer):
+            kb = tuple(int(v) for v in img)
+        else:
+            kb = tuple(np.round(img, 12) + 0.0)  # +0.0 normalizes -0.0
+        if kb not in seen:
+            seen[kb] = img
+    return np.array(list(seen.values()))
 
 
 def stabilizer(G: CoxeterGroup, x) -> CoxeterGroup:

@@ -1,9 +1,10 @@
-"""Spectral oracles for the tests: the symbol |xi|^{2s} on the full
-frequency lattice, the fractional Laplacian applied as a full-spectrum
-multiplier, and the Gagliardo seminorm by direct double sum.
+"""Spectral oracles for the tests: the angular frequencies and |xi|^2 on
+the full frequency lattice, the symbol |xi|^{2s} there, the fractional
+Laplacian applied as a full-spectrum multiplier, and the Gagliardo seminorm
+by direct double sum.
 
 The solver applies (-Delta)^s on the rfftn half spectrum inside its own
-transforms and never calls multiplier or fractional_laplacian; the
+transforms (Grid.half_freq_norm_sq) and never reads the full lattice; the
 O(M^{2N}) double sum is the FFT-free oracle of the seminorm.  They live
 with the tests because only the tests call them.
 """
@@ -15,9 +16,21 @@ import numpy as np
 from fracsaddle.spectral import Field, Grid, fftn, ifftn
 
 
+def axis_freqs(grid: Grid) -> np.ndarray:
+    """Angular wavenumbers 2 pi m / L of one axis, in fftfreq order."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.M, d=grid.h)
+
+
+def freq_norm_sq(grid: Grid) -> np.ndarray:
+    """|xi|^2 on the full frequency lattice."""
+    xi = axis_freqs(grid)
+    grids = np.meshgrid(*([xi] * grid.N_dims), indexing="ij", sparse=True)
+    return sum(g**2 for g in grids)
+
+
 def multiplier(grid: Grid, s: float) -> np.ndarray:
     """The symbol |xi|^{2s} on the discrete frequency lattice (zero at xi=0)."""
-    return grid.freq_norm_sq() ** s
+    return freq_norm_sq(grid) ** s
 
 
 def fractional_laplacian(u: Field, s: float) -> Field:

@@ -16,10 +16,10 @@ from fracsaddle.analysis import (
 )
 from fracsaddle.coxeter import CoxeterGroup, named_group
 from fracsaddle.params import ModelParams
-from fracsaddle.solver import SolverConfig, _index_table, get_action, init_saddle, solve, symmetrize
+from fracsaddle.solver import SolverConfig, _index_table, get_action, initial_guess, solve, symmetrize
 from fracsaddle.spectral import Field, Grid
 
-from coxeter_reference import facet_candidates, stabilizer
+from coxeter_reference import facet_candidates, orbit, stabilizer
 
 PARAMS = ModelParams(3, 0.5, 2.0, 2.0)
 
@@ -242,7 +242,7 @@ def test_energy_table_takes_stabilizers_of_continuous_facet_points(monkeypatch):
     CoxeterGroup([np.diag([1, 1, -1])]),
 ], ids=["trivial", "A1", "A1xA1", "A2", "B2", "B3", "flip2", "antidiagonal", "mirror3"])
 def test_breakup_levels_match_facet_points(G):
-    want = [(len(G.orbit(x)), stabilizer(G, x)) for x in facet_candidates(G)]
+    want = [(len(orbit(G, x)), stabilizer(G, x)) for x in facet_candidates(G)]
     got = analysis._breakup_levels(G)
     assert [n for n, _ in got] == [n for n, _ in want]
     assert [S.fingerprint() for _, S in got] == [S.fingerprint() for _, S in want]
@@ -306,7 +306,8 @@ def test_solve_level_reuses_conjugate_class(mirror, source, table24):
     assert np.array_equal(sol.u.values, want)
     assert np.array_equal(symmetrize(sol.u, G).values, sol.u.values)
     assert nodal_domains(sol.u).count == nodal_domains(cached.u).count
-    direct = solve(SolverConfig(params=PARAMS, grid=g, group=G), init_saddle(g, G, PARAMS))
+    cfg = SolverConfig(params=PARAMS, grid=g, group=G)
+    direct = solve(cfg, initial_guess(cfg))
     assert sol.converged == direct.converged == (source == "A1")
     assert sol.energy == pytest.approx(direct.energy, rel=1e-8)
 

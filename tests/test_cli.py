@@ -28,7 +28,7 @@ def base_config(outdir, **overrides):
     cfg = {
         "problem": {"N": 3, "s": 0.5, "alpha": 2.0, "p": 2.0},
         "grid": {"M": 12, "L": 8.0},
-        "solver": {"tol": 1e-3, "max_iters": 400, "seed": 0},
+        "solver": {"tol": 1e-3, "max_iters": 400},
         "output": {"dir": str(outdir)},
     }
     cfg.update(overrides)
@@ -359,13 +359,44 @@ def test_cli_seed_override_is_extension_check_only(tmp_path, capsys):
 
 
 def test_cli_groundstate_report_omits_seed(tmp_path, capsys):
-    # solver.seed is accepted in any config but only extension-check reads it
+    # only extension-check reads solver.seed, so a solve's echo leaves it out
     outdir = tmp_path / "run"
-    cfg = base_config(outdir)
-    cfg["solver"]["seed"] = 7
-    path = write_json(tmp_path / "c.json", cfg)
+    path = write_json(tmp_path / "c.json", base_config(outdir))
     assert main(["groundstate", "--config", path]) == 0
     solver = json.loads((outdir / "trivial_report.json").read_text())["config"]["solver"]
     assert "seed" not in solver
     assert solver["tol"] == 1e-3 and solver["max_iters"] == 400
+    capsys.readouterr()
+
+
+# Each of these once exited 0: groundstate echoed an R it never used, and the
+# solve commands dropped the seed that only extension-check reads.
+@pytest.mark.parametrize("command, group, solver", [
+    ("groundstate", "trivial", {"R": 0.3}),
+    ("groundstate", "trivial", {"seed": 5}),
+    ("saddle", "A1", {"R": 0.3, "seed": 5}),
+    ("table", ["trivial", "A1"], {"seed": 5}),
+])
+def test_cli_refuses_solver_keys_the_command_ignores(tmp_path, capsys, command, group, solver):
+    cfg = base_config(tmp_path / "run", group={"name": group})
+    cfg["solver"].update(solver)
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main([command, "--config", path]) == 1
+    key = "R" if command == "groundstate" and "R" in solver else "seed"
+    assert f"error: 'solver.{key}' is not read by this command" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_extension_check_reads_the_config_seed(tmp_path, capsys):
+    cfg = base_config(tmp_path / "run")
+    cfg["problem"]["s"] = [0.5]
+
+    def lhs(seed):
+        cfg["solver"]["seed"] = seed
+        path = write_json(tmp_path / "c.json", cfg)
+        assert main(["extension-check", "--config", path]) == 0
+        rows = (tmp_path / "run" / "extension_check.csv").read_text().splitlines()
+        return float(rows[1].split(",")[2])
+
+    assert lhs(7) != lhs(0)
     capsys.readouterr()

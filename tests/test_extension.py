@@ -20,11 +20,12 @@ from extension_reference import (
     trace_inequality_check,
 )
 from ode_reference import psi_ode_solution
+from spectral_reference import freq_norm_sq
 
 
 def smooth_field(grid, rng, width=0.5):
     noise = rng.standard_normal(grid.shape)
-    return Field(grid, ifftn(fftn(noise) * np.exp(-width * grid.freq_norm_sq())).real)
+    return Field(grid, ifftn(fftn(noise) * np.exp(-width * freq_norm_sq(grid))).real)
 
 
 def test_ygrid_graded():
@@ -139,7 +140,7 @@ def test_harmonic_extend_matches_complex_transforms(N, M, s, rng):
     u = smooth_field(g, rng)
     yg = YGrid.graded(64, default_y_max(g))
     U = harmonic_extend(u, s, yg)
-    xi = np.sqrt(g.freq_norm_sq())
+    xi = np.sqrt(freq_norm_sq(g))
     uhat = fftn(u.values)
     for j in range(yg.J):
         want = ifftn(psi_profile(s, xi * yg.nodes[j]) * uhat).real

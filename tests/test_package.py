@@ -13,7 +13,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # The README's Python API: what a script calls to run a solve and to check a
 # field.  Every other exported name must have a caller in the package.
 ENTRY_POINTS = {
-    "Grid", "ModelParams", "SolverConfig", "named_group", "init_saddle", "solve",
+    "Grid", "ModelParams", "SolverConfig", "named_group", "initial_guess", "solve",
     "nodal_domains", "energy", "gradient", "interaction", "nehari_energy",
     "hs_norm_sq", "seminorm_sq", "l2_norm_sq",
 }

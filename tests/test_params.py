@@ -3,10 +3,8 @@ import math
 import pytest
 
 from fracsaddle.params import (
-    Constants,
     ModelParams,
     admissible,
-    constants_for,
     critical_exponent,
     extension_constant,
     riesz_constant,
@@ -67,8 +65,8 @@ def test_extension_constant_reciprocal_pairing():
         assert extension_constant(s) * extension_constant(1.0 - s) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_constants_bundle():
-    c = constants_for(ModelParams(3, 0.5, 2.0, 2.0))
-    assert isinstance(c, Constants)
-    assert c.A_alpha == pytest.approx(riesz_constant(3, 2.0))
-    assert c.k_s == pytest.approx(extension_constant(0.5))
+def test_constants_of_the_reference_quadruple():
+    # what `fracsaddle info` prints for (N, s, alpha, p) = (3, 1/2, 2, 2):
+    # A_2 = Gamma(1/2) / (Gamma(1) pi^{3/2} 4) = 1/(4 pi) in three dimensions
+    assert riesz_constant(3, 2.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
+    assert extension_constant(0.5) == pytest.approx(1.0, rel=1e-15)

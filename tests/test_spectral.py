@@ -21,7 +21,7 @@ from fracsaddle.spectral import (
     seminorm_sq,
 )
 
-from spectral_reference import fractional_laplacian, gagliardo_norm_sq, multiplier
+from spectral_reference import fractional_laplacian, freq_norm_sq, gagliardo_norm_sq, multiplier
 
 # Origin-cell averages of |x|^{alpha-N} over the unit cell in 3-D, computed
 # independently of the face-integral rule: by adaptive volume quadrature
@@ -140,6 +140,16 @@ def test_transforms_match_scipy(shape, rng):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("N, M", [(1, 8), (2, 10), (3, 12), (3, 16)])
+def test_half_freq_norm_sq_is_the_cropped_full_spectrum(N, M):
+    # built from the rfft bins of the last axis: bin M/2 is +M/2 there and
+    # -M/2 in fftfreq order, which squares to the same value
+    g = Grid(N, M, 7.0)
+    half = g.half_freq_norm_sq()
+    assert half.flags.c_contiguous
+    assert np.array_equal(half, freq_norm_sq(g)[..., : M // 2 + 1])
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_half_parseval_sum_matches_full_spectrum(N, rng):
     # power in the last-axis bin-0 and Nyquist planes, which count once
@@ -149,7 +159,7 @@ def test_half_parseval_sum_matches_full_spectrum(N, rng):
     full = fftn(u)
     assert np.abs(full[..., 0]).max() > g.n_nodes
     assert np.abs(full[..., g.M // 2]).max() > g.n_nodes
-    symbol = 1.0 + g.freq_norm_sq() ** 0.5
+    symbol = 1.0 + freq_norm_sq(g) ** 0.5
     want = g.cellvol / g.n_nodes * np.sum(symbol * np.abs(full) ** 2)
     got = half_parseval_sum(g, rfftn(u), 1.0 + g.half_freq_norm_sq() ** 0.5)
     assert got == pytest.approx(want, rel=1e-14)
