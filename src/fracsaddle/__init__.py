@@ -44,7 +44,6 @@ from .solver import (
 from .spectral import (
     Field,
     Grid,
-    build_riesz_kernel,
     hs_norm_sq,
     l2_norm_sq,
     riesz_convolve,
@@ -69,7 +68,6 @@ __all__ = [
     "TableRow",
     "YGrid",
     "admissible",
-    "build_riesz_kernel",
     "critical_exponent",
     "decay_exponent",
     "energy",

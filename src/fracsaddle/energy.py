@@ -54,7 +54,10 @@ def _evaluate(values: np.ndarray, grid: Grid, params: ModelParams, mult: np.ndar
     Q = half_parseval_sum(grid, uhat, 1.0 + mult)
     up = np.abs(values) ** params.p
     conv = riesz_convolve(Field(grid, up), params.alpha).values
-    D = float(grid.cellvol * np.sum(conv * up))
+    # einsum's own loop: no conv * up temporary, and unlike np.dot no BLAS
+    # call, which can go multithreaded (slower on a busy host) and reorders
+    # the sum with the thread count
+    D = grid.cellvol * float(np.einsum("i,i->", conv.ravel(), up.ravel()))
     return _Evaluation(uhat, conv, Q, D)
 
 

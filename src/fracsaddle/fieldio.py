@@ -192,19 +192,22 @@ def resolved_config_dict(params, grid, group, solver: dict, output: dict) -> dic
 # Field files
 # ---------------------------------------------------------------------------
 
+# The raw file has no header: these sidecar values are the only layout it has.
+_FIELD_LAYOUT = {"dtype": "<f8", "order": "C"}
+
+
 def write_field(path, field: Field, params: ModelParams | None = None,
                 description: str = "") -> None:
     """Raw float64 dump plus a JSON sidecar at <path>.json."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = np.ascontiguousarray(field.values, dtype="<f8")
+    data = np.ascontiguousarray(field.values, dtype=_FIELD_LAYOUT["dtype"])
     data.tofile(path)
     meta = {
         "dims": field.grid.N_dims,
         "M": field.grid.M,
         "L": field.grid.L,
-        "dtype": "<f8",
-        "order": "C",
+        **_FIELD_LAYOUT,
         "description": description,
     }
     if params is not None:
@@ -215,12 +218,30 @@ def write_field(path, field: Field, params: ModelParams | None = None,
 
 
 def read_field(path):
-    """Load a field written by write_field; returns (Field, sidecar dict)."""
+    """Load a field written by write_field; returns (Field, sidecar dict).
+
+    The sidecar must give dims, M and L, and the dtype and order that
+    write_field writes; a missing key, a non-numeric grid value or another
+    layout is a ValueError that names it.
+    """
     path = Path(path)
-    with open(str(path) + ".json") as fh:
+    sidecar = str(path) + ".json"
+    with open(sidecar) as fh:
         meta = json.load(fh)
-    grid = Grid(int(meta["dims"]), int(meta["M"]), float(meta["L"]))
-    data = np.fromfile(path, dtype="<f8")
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: a sidecar must be a JSON object; got {meta!r}")
+    missing = [k for k in ("dims", "M", "L", *_FIELD_LAYOUT) if k not in meta]
+    if missing:
+        raise ValueError(f"{sidecar}: missing key(s) {missing}")
+    for key, want in _FIELD_LAYOUT.items():
+        if meta[key] != want:
+            raise ValueError(f"{sidecar}: {key} {meta[key]!r} is not readable; only {want!r} is")
+    grid = Grid(
+        _number(f"dims in {sidecar}", meta["dims"], integer=True),
+        _number(f"M in {sidecar}", meta["M"], integer=True),
+        _number(f"L in {sidecar}", meta["L"]),
+    )
+    data = np.fromfile(path, dtype=_FIELD_LAYOUT["dtype"])
     if data.size != grid.n_nodes:
         raise ValueError(
             f"field file has {data.size} values, grid expects {grid.n_nodes}"

@@ -24,7 +24,7 @@ from .energy import _nehari_factor, _nehari_value, _residual
 # solve never calls energy(); perfbench/test_perfbench.py names this binding
 from .energy import energy as energy_of
 from .params import ModelParams, admissible
-from .spectral import _LRU, Field, Grid, irfftn
+from .spectral import _LRU, Field, Grid, _irfftn_in_place
 # solve never calls fftn or ifftn; perfbench/test_perfbench.py names these bindings
 from .spectral import fftn, ifftn
 
@@ -305,14 +305,18 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     for iters in range(1, config.max_iters + 1):
         fhat = _force_hat(u, ev, p)
         residual = _residual(grid, _gradient_hat(ev, mult, fhat), ev.uhat)
+        # the trial evaluations below set the peak memory, and u_hat and the
+        # convolution are dead once the force is formed; Q and D stay, for
+        # the energy of a converged or stalled solve
+        ev = ev._replace(uhat=None, conv=None)
         trace["residual"].append(residual)
         trace["energy"].append(E)
         if residual <= config.tol:
             trace["step"].append(None)
             break
 
-        w = project(irfftn(precond * fhat, grid.shape))
-        del fhat  # the trial evaluations below set the peak memory
+        w = project(_irfftn_in_place(precond * fhat, grid.shape))
+        del fhat  # likewise
         f = w - u
         if w_prev is not None:
             row = stored % _DEPTH

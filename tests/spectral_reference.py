@@ -1,19 +1,24 @@
 """Spectral oracles for the tests: the angular frequencies and |xi|^2 on
 the full frequency lattice, the symbol |xi|^{2s} there, the fractional
-Laplacian applied as a full-spectrum multiplier, and the Gagliardo seminorm
-by direct double sum.
+Laplacian applied as a full-spectrum multiplier, the Gagliardo seminorm
+by direct double sum, and the Riesz kernel sampled on the whole doubled
+grid with its full-grid transform.
 
 The solver applies (-Delta)^s on the rfftn half spectrum inside its own
 transforms (Grid.half_freq_norm_sq) and never reads the full lattice; the
-O(M^{2N}) double sum is the FFT-free oracle of the seminorm.  They live
-with the tests because only the tests call them.
+O(M^{2N}) double sum is the FFT-free oracle of the seminorm.  The solver
+builds only one octant of the kernel transform (spectral._kernel_octant);
+the (2M)^N kernel is the oracle of that octant and of the direct-sum
+convolution checks.  They live with the tests because only the tests call
+them.
 """
 
 import math
 
 import numpy as np
 
-from fracsaddle.spectral import Field, Grid, fftn, ifftn
+from fracsaddle.params import riesz_constant
+from fracsaddle.spectral import Field, Grid, fftn, ifftn, origin_cell_average, rfftn
 
 
 def axis_freqs(grid: Grid) -> np.ndarray:
@@ -129,3 +134,30 @@ def gagliardo_norm_sq(u: Field, s: float) -> float:
     var = grid.cellvol * float(np.sum((f - f.mean()) ** 2))
     tail = 2.0 * _box_complement_integral(N, s) * L ** (-2.0 * s) * var
     return _seminorm_normalization(N, s) * (pair_sum + tail)
+
+
+def build_riesz_kernel(grid: Grid, alpha: float) -> Field:
+    """Sample A_alpha |x|^{alpha - N} on the doubled grid covering [-L, L)^N.
+
+    The singular origin cell is replaced by the analytic average of the
+    kernel over that cell, so the convolution quadrature stays second order.
+    """
+    N = grid.N_dims
+    if not 0.0 < alpha < N:
+        raise ValueError(f"alpha must lie in (0, N)={N}; got {alpha}")
+    big = Grid(N, 2 * grid.M, 2 * grid.L)  # same h, twice the box
+    c = big.axis_nodes()  # covers [-L, L)
+    mesh = np.meshgrid(*([c] * N), indexing="ij", sparse=True)
+    r2 = sum(g**2 for g in mesh)
+    A = riesz_constant(N, alpha)
+    with np.errstate(divide="ignore"):
+        vals = A * r2 ** ((alpha - N) / 2.0)
+    origin = tuple([grid.M] * N)  # node at x = 0 in the doubled grid
+    vals[origin] = A * origin_cell_average(N, alpha, grid.h)
+    return Field(big, vals)
+
+
+def full_kernel_transform(grid: Grid, alpha: float) -> np.ndarray:
+    """The rfftn of the wrap-ordered doubled-grid kernel, every bin: real,
+    with the rounding-size imaginary part dropped."""
+    return rfftn(np.fft.ifftshift(build_riesz_kernel(grid, alpha).values)).real

@@ -27,7 +27,6 @@ from fracsaddle.solver import (
 from fracsaddle.spectral import (
     Field,
     Grid,
-    build_riesz_kernel,
     fftn,
     hs_norm_sq,
     ifftn,
@@ -38,7 +37,7 @@ from coxeter_reference import orbit, stabilizer
 from extension_reference import ExtensionField, harmonic_extend, trace_inequality_check
 from ode_reference import psi_ode_solution
 from solver_reference import mountain_pass_check
-from spectral_reference import fractional_laplacian, freq_norm_sq
+from spectral_reference import build_riesz_kernel, fractional_laplacian, freq_norm_sq
 
 PARAMS = ModelParams(3, 0.5, 2.0, 2.0)
 GROUPS = ["A1", "A1xA1", "A2", "B2", "B3"]

@@ -127,6 +127,30 @@ def test_read_field_size_mismatch(tmp_path, rng):
         read_field(path)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("L", None, r"missing key\(s\) \['L'\]"),
+    ("dims", None, r"missing key\(s\) \['dims'\]"),
+    ("dtype", ">f8", "dtype '>f8' is not readable"),
+    ("dtype", "<f4", "dtype '<f4' is not readable"),
+    ("order", "F", "order 'F' is not readable"),
+    ("M", "8", "'M in .*' must be a number"),
+])
+def test_read_field_refuses_what_it_cannot_read(tmp_path, rng, key, value, match):
+    # each was once read as a <f8 C-order field, or ended in a KeyError
+    g = Grid(2, 8, 4.0)
+    path = tmp_path / "u.f64"
+    write_field(path, Field(g, rng.standard_normal(g.shape)))
+    sidecar = json.loads(open(str(path) + ".json").read())
+    if value is None:
+        del sidecar[key]
+    else:
+        sidecar[key] = value
+    with open(str(path) + ".json", "w") as fh:
+        json.dump(sidecar, fh)
+    with pytest.raises(ValueError, match=match):
+        read_field(path)
+
+
 def test_write_report_numpy_types(tmp_path):
     path = tmp_path / "r.json"
     write_report(path, {"a": np.float64(1.5), "b": np.int64(3), "c": np.arange(3)})
@@ -198,6 +222,19 @@ def test_cli_decay(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "d.json").read_text())
     assert report["slope"] == pytest.approx(-4.0, rel=0.05)
+
+
+def test_cli_decay_refuses_incomplete_sidecar(tmp_path, capsys):
+    # a sidecar without L once ended the command in a KeyError traceback
+    g = Grid(3, 16, 8.0)
+    write_field(tmp_path / "u.f64", Field(g, np.ones(g.shape)))
+    sidecar = tmp_path / "u.f64.json"
+    meta = json.loads(sidecar.read_text())
+    del meta["L"]
+    sidecar.write_text(json.dumps(meta))
+    assert main(["decay", "--field", str(tmp_path / "u.f64")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "['L']" in err
 
 
 def test_cli_extension_check(tmp_path, capsys):

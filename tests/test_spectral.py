@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
+from fracsaddle import spectral
 from fracsaddle.spectral import (
     Field,
     Grid,
-    build_riesz_kernel,
     fftn,
     half_inner,
     half_parseval_sum,
@@ -21,7 +22,14 @@ from fracsaddle.spectral import (
     seminorm_sq,
 )
 
-from spectral_reference import fractional_laplacian, freq_norm_sq, gagliardo_norm_sq, multiplier
+from spectral_reference import (
+    build_riesz_kernel,
+    fractional_laplacian,
+    freq_norm_sq,
+    full_kernel_transform,
+    gagliardo_norm_sq,
+    multiplier,
+)
 
 # Origin-cell averages of |x|^{alpha-N} over the unit cell in 3-D, computed
 # independently of the face-integral rule: by adaptive volume quadrature
@@ -49,9 +57,6 @@ def test_grid_geometry():
     nodes = g.axis_nodes()
     assert nodes[0] == pytest.approx(-4.0)
     assert nodes[-1] == pytest.approx(4.0 - 0.5)
-    d = g.doubled()
-    assert d.M == 32 and d.L == pytest.approx(16.0)
-    assert d.h == pytest.approx(g.h)
 
 
 def test_grid_validation():
@@ -216,8 +221,8 @@ def test_kernel_symmetry_and_values():
 def test_kernel_alpha_validation():
     g = small_grid()
     for bad in (0.0, 3.0, -1.0):
-        with pytest.raises(ValueError):
-            build_riesz_kernel(g, bad)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            riesz_convolve(Field(g, np.zeros(g.shape)), bad)
 
 
 def test_convolution_matches_direct_sum_1d(rng):
@@ -280,6 +285,63 @@ def test_convolution_matches_full_pad(N, alpha, rng):
     pad[inner] = f
     want = g.cellvol * sfft.irfftn(sfft.rfftn(pad) * khat, s=pad.shape)[inner]
     assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "N, alpha", [(N, a) for N in (1, 2, 3) for a in (0.5, 1.0, 1.5, 2.0, 2.5) if a < N]
+)
+def test_kernel_octant_matches_full_transform(N, alpha):
+    # the per-axis DCT-I of the octant against the rfftn of the whole (2M)^N
+    # kernel: bins 0..M of every axis, and the stored blocks side by side are
+    # bins 0..M of the outer leading axes and every bin of the next one
+    g = Grid(N, 16, 8.0)
+    full = full_kernel_transform(g, alpha)
+    octant = spectral._kernel_octant(g, alpha)
+    assert octant.shape == (g.M + 1,) * N
+    want = full[(slice(0, g.M + 1),) * (N - 1)]
+    assert np.abs(octant - want).max() <= 1e-15 * np.abs(want).max()
+    stored = np.concatenate(spectral._kernel_transform(g, alpha), axis=-1)
+    want = full[(slice(0, g.M + 1),) * (N - 2)]
+    assert np.abs(stored - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N, M, alpha", [(1, 16, 0.5), (2, 16, 1.0), (3, 12, 2.0), (3, 16, 0.5)])
+def test_convolution_slabs_match_one_slab(N, M, alpha, rng, monkeypatch):
+    # a budget of one or three last-axis bins forces many slabs, with a
+    # shorter last slab for three; every bin sees the same arithmetic
+    g = Grid(N, M, 8.0)
+    f = Field(g, rng.standard_normal(g.shape))
+    monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+    one = riesz_convolve(f, alpha).values
+    assert len(spectral._kernel_transform(g, alpha)) == 1
+    for width in (1, 3):
+        monkeypatch.setattr(spectral, "_SLAB_BYTES", width * 16 * (2 * M) ** (N - 1))
+        monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+        assert len(spectral._kernel_transform(g, alpha)) == -(-(M + 1) // width)
+        assert np.array_equal(riesz_convolve(f, alpha).values, one)
+
+
+def test_convolution_working_set(monkeypatch):
+    # traced peaks at 48^3: 21.4 MB for a first kernel build and 9.95 MB for
+    # one convolution when the whole (2M)^N kernel and padded spectrum were
+    # built; 5.74 and 4.53 MB with the octant and 2 MB slabs.  The bounds
+    # leave about 13% and 10% over those.
+    g = Grid(3, 48, 24.0)
+    f = Field(g, np.ones(g.shape))
+    monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+    tracemalloc.start()
+    try:
+        spectral._kernel_transform(g, 2.0)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        out = riesz_convolve(f, 2.0)
+        conv_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert out.values.flags.c_contiguous and out.values.base is None
+    assert build_peak <= 6.5e6, build_peak
+    assert conv_peak <= 5.0e6, conv_peak
 
 
 def test_convolution_linearity_and_positivity(rng):
