@@ -332,6 +332,13 @@ def _times_kernel(spec: np.ndarray, kblock: np.ndarray, M: int, ax: int = 0) -> 
     _times_kernel(spec[keep + (slice(M + 1, None),)], mirrored, M, ax + 1)
 
 
+def _zero_padding(spec: np.ndarray, M: int) -> None:
+    """Zero the padding of a slab: every entry with a leading-axis index of
+    M or more.  The rfft of f fills the rest, so it is not zeroed first."""
+    for ax in range(spec.ndim - 1):
+        spec[(slice(0, M),) * ax + (slice(M, None),)] = 0.0
+
+
 def _padded_product(spec: np.ndarray, kblock: np.ndarray, M: int) -> np.ndarray:
     """Leading-axis transforms of a padded slab, the kernel multiply and the
     inverse transforms, in place; returns the view of the first M entries of
@@ -364,8 +371,7 @@ def _slabbed_product(half: np.ndarray, blocks: tuple, M: int) -> None:
     for kblock in blocks:
         b1 = b0 + kblock.shape[-1]
         s = slab[..., : b1 - b0]
-        for ax in range(lead):
-            s[inner[:ax] + (slice(M, None),)] = 0.0
+        _zero_padding(s, M)
         s[inner] = half[..., b0:b1]
         half[..., b0:b1] = _padded_product(s, kblock, M)
         b0 = b1
@@ -392,7 +398,8 @@ def riesz_convolve(f: Field, alpha: float) -> Field:
     blocks = _kernel_transform(grid, alpha)
     n, M, lead = 2 * grid.M, grid.M, grid.N_dims - 1
     if len(blocks) == 1:
-        spec = np.zeros((n,) * lead + (M + 1,), np.complex128)
+        spec = np.empty((n,) * lead + (M + 1,), np.complex128)
+        _zero_padding(spec, M)
         np.fft.rfft(f.values, n=n, axis=-1, out=spec[(slice(0, M),) * lead])
         half = _padded_product(spec, blocks[0], M)
     else:
