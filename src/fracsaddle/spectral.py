@@ -21,9 +21,9 @@ kernel's images pollute the small-frequency behavior; zero-padding removes
 wrap-around exactly.  The kernel is even in every axis, so its transform is
 real and even, and one octant of it (bins 0..M of every axis) holds all of
 it: that octant is built one axis at a time as type-1 DCTs, and no (2M)^N
-array is built or kept.  A padded spectrum larger than _SLAB_BYTES (2 MB,
-the host's L2) is transformed in slabs of last-axis bins, so the working set
-of a convolution stays near that budget plus a few M^N arrays whatever M
+array is built or kept.  A padded spectrum larger than _SLAB_BYTES (1 MiB,
+half the host's L2) is transformed in slabs of last-axis bins, so the working
+set of a convolution stays near that budget plus a few M^N arrays whatever M
 is.  One caveat follows from the same choice: the lattice
 symmetry action identifies the -L/2 box faces periodically while the linear
 convolution does not, so equivariance statements for the convolution hold
@@ -224,10 +224,14 @@ class _LRU:
 _kernel_cache = _LRU(4)
 
 # Padded spectra above this many bytes are transformed in slabs of last-axis
-# bins.  2 MB is the L2 cache of the host in perfbench's provenance: a slab
-# that fits stays there through its leading-axis passes and the multiply,
-# and the working set stays near 2 MB whatever M is.
-_SLAB_BYTES = 2 << 20
+# bins.  1 MiB is half the 2 MB L2 cache of the host in perfbench's
+# provenance, so a slab and its kernel block stay there together through the
+# leading-axis passes and the multiply, and the working set stays near 1 MiB
+# whatever M is.  On that host a 48^3 convolution took 0.96-0.98 times as
+# long as with the whole padded spectrum at 1 MiB, 0.97-1.04 at 2 MiB and
+# 1.1 at 0.5 or 4 MiB (groundstate48 peak RSS 60.9, 61.1, 60.7 and 63.5 MB);
+# 24^3 is one slab under all four.
+_SLAB_BYTES = 1 << 20
 
 
 def _unit_cell_mean(N: int, alpha: float) -> float:
@@ -294,24 +298,26 @@ def _kernel_octant(grid: Grid, alpha: float) -> np.ndarray:
 def _kernel_transform(grid: Grid, alpha: float) -> tuple:
     """Cached kernel transform for (grid, alpha), one block per slab.
 
-    The octant, mirrored out along the leading axis next to the last one
-    (2M bins there, M + 1 on the others), then cut into contiguous blocks of
-    as many last-axis bins as a slab of the padded spectrum holds within
-    _SLAB_BYTES (at least one, at most all M + 1).  Kept as the bare
-    octant, that axis too would need a mirrored view, whose inner loops are
-    only one slab's few bins long: the multiply took 2.4 times as long at
-    48^3.  Mirrored out, it runs over long contiguous rows, and only the
-    outer leading axes need mirrored views.
+    The octant, mirrored out along some leading axes (2M bins there, M + 1
+    on the others), then cut into contiguous blocks of as many last-axis
+    bins as a slab of the padded spectrum holds within _SLAB_BYTES (at
+    least one, at most all M + 1).  A spectrum within the budget is one
+    slab, and its transform is mirrored out along every leading axis: the
+    (2M)^(N-1) (M + 1) rfftn half, at most half the budget, so the multiply
+    is one contiguous pass.  Past the budget only the axis next to the last
+    is mirrored out.  Kept as the bare octant, that axis too would need a
+    mirrored view, whose inner loops are only one slab's few bins long: the
+    multiply took 2.4 times as long at 48^3 with 14-bin slabs.  Mirrored
+    out, it runs over long contiguous rows, and only the outer leading axes
+    need mirrored views.
     """
     def build():
+        N, M = grid.N_dims, grid.M
+        width = min(M + 1, max(1, _SLAB_BYTES // (16 * (2 * M) ** (N - 1))))
         khat = _kernel_octant(grid, alpha)
-        if grid.N_dims > 1:
-            khat = khat.take(_mirror(grid.M), axis=-2)
-        bin_bytes = 16 * (2 * grid.M) ** (grid.N_dims - 1)
-        width = min(grid.M + 1, max(1, _SLAB_BYTES // bin_bytes))
-        return tuple(
-            np.ascontiguousarray(khat[..., b : b + width]) for b in range(0, grid.M + 1, width)
-        )
+        for ax in range(N - 1) if width > M else range(N - 1)[-1:]:
+            khat = khat.take(_mirror(M), axis=ax)
+        return tuple(np.ascontiguousarray(khat[..., b : b + width]) for b in range(0, M + 1, width))
 
     return _kernel_cache.lookup((grid, round(alpha, 12)), build)
 
@@ -319,11 +325,11 @@ def _kernel_transform(grid: Grid, alpha: float) -> tuple:
 def _times_kernel(spec: np.ndarray, kblock: np.ndarray, M: int, ax: int = 0) -> None:
     """spec *= the kernel transform, in place, from one block.
 
-    Along each outer leading axis (ax up to N - 3) bins k and 2M - k share
-    the block's entry k <= M, so the block is applied through 2^(N-2)
+    Along each leading axis that the block holds only bins 0..M of, bins k
+    and 2M - k share the block's entry k, so the block is applied through
     mirrored views.
     """
-    if ax >= spec.ndim - 2:
+    if kblock.shape == spec.shape:
         np.multiply(spec, kblock, out=spec)
         return
     keep = (slice(None),) * ax
@@ -334,7 +340,8 @@ def _times_kernel(spec: np.ndarray, kblock: np.ndarray, M: int, ax: int = 0) -> 
 
 def _zero_padding(spec: np.ndarray, M: int) -> None:
     """Zero the padding of a slab: every entry with a leading-axis index of
-    M or more.  The rfft of f fills the rest, so it is not zeroed first."""
+    M or more.  The copy of the rfft half fills the rest, so it is not
+    zeroed first."""
     for ax in range(spec.ndim - 1):
         spec[(slice(0, M),) * ax + (slice(M, None),)] = 0.0
 
@@ -386,20 +393,21 @@ def riesz_convolve(f: Field, alpha: float) -> Field:
     built (Hockney & Eastwood): the last axis is padded by rfft, and the
     leading axes are transformed in place, pruned to the entries that can be
     nonzero (_padded_product).  The kernel transform is kept as its octant,
-    mirrored out along one axis (_kernel_transform).
+    mirrored out along the leading axes where that keeps the multiply's
+    rows long (_kernel_transform).
 
     The leading-axis passes and the multiply of one last-axis bin never read
     another bin, so a padded spectrum larger than _SLAB_BYTES runs them over
     slabs of last-axis bins, one slab buffer reused: the rfft half is
     copied into each slab and the slab's cropped result back.  A spectrum
-    within the budget is one slab, and the rfft writes straight into it.
+    within the budget is one slab, allocated zeroed, and the rfft writes
+    straight into it.
     """
     grid = f.grid
     blocks = _kernel_transform(grid, alpha)
     n, M, lead = 2 * grid.M, grid.M, grid.N_dims - 1
     if len(blocks) == 1:
-        spec = np.empty((n,) * lead + (M + 1,), np.complex128)
-        _zero_padding(spec, M)
+        spec = np.zeros((n,) * lead + (M + 1,), np.complex128)
         np.fft.rfft(f.values, n=n, axis=-1, out=spec[(slice(0, M),) * lead])
         half = _padded_product(spec, blocks[0], M)
     else:

@@ -519,16 +519,23 @@ def test_solve_transform_count(name, monkeypatch):
     init = initial_guess(cfg)
     calls = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
 
-    def counted(fname, fn):
+    def counted(kind, fn):
         def wrapper(*args, **kwargs):
-            calls[fname] += 1
+            calls[kind] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (importlib.import_module("fracsaddle.energy"), solver):
-        for fname in calls:
-            if hasattr(mod, fname):
-                monkeypatch.setattr(mod, fname, counted(fname, getattr(mod, fname)))
+    # each module's transform bindings and the transform each one counts as;
+    # every transform binding a module holds must be listed, so a renamed or
+    # added import fails here instead of going uncounted
+    bindings = {
+        importlib.import_module("fracsaddle.energy"): {"rfftn": "rfftn", "irfftn": "irfftn"},
+        solver: {"fftn": "fftn", "ifftn": "ifftn", "_irfftn_in_place": "irfftn"},
+    }
+    for mod, names in bindings.items():
+        assert {n for n in vars(mod) if "fft" in n} == set(names)
+        for name, kind in names.items():
+            monkeypatch.setattr(mod, name, counted(kind, getattr(mod, name)))
     sol = solve(cfg, init)
     assert sol.converged
     assert calls["fftn"] == calls["ifftn"] == 0

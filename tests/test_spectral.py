@@ -290,18 +290,24 @@ def test_convolution_matches_full_pad(N, alpha, rng):
 @pytest.mark.parametrize(
     "N, alpha", [(N, a) for N in (1, 2, 3) for a in (0.5, 1.0, 1.5, 2.0, 2.5) if a < N]
 )
-def test_kernel_octant_matches_full_transform(N, alpha):
+def test_kernel_octant_matches_full_transform(N, alpha, monkeypatch):
     # the per-axis DCT-I of the octant against the rfftn of the whole (2M)^N
-    # kernel: bins 0..M of every axis, and the stored blocks side by side are
-    # bins 0..M of the outer leading axes and every bin of the next one
+    # kernel: bins 0..M of every axis.  The stored blocks side by side are
+    # the whole rfftn half within one slab, and past the budget bins 0..M of
+    # the outer leading axes and every bin of the next one
     g = Grid(N, 16, 8.0)
     full = full_kernel_transform(g, alpha)
     octant = spectral._kernel_octant(g, alpha)
     assert octant.shape == (g.M + 1,) * N
     want = full[(slice(0, g.M + 1),) * (N - 1)]
     assert np.abs(octant - want).max() <= 1e-15 * np.abs(want).max()
+    monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
     stored = np.concatenate(spectral._kernel_transform(g, alpha), axis=-1)
-    want = full[(slice(0, g.M + 1),) * (N - 2)]
+    assert np.abs(stored - full).max() <= 1e-15 * np.abs(full).max()
+    monkeypatch.setattr(spectral, "_SLAB_BYTES", 3 * 16 * (2 * g.M) ** (N - 1))
+    monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+    stored = np.concatenate(spectral._kernel_transform(g, alpha), axis=-1)
+    want = full[(slice(0, g.M + 1),) * max(N - 2, 0)]
     assert np.abs(stored - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -324,7 +330,7 @@ def test_convolution_slabs_match_one_slab(N, M, alpha, rng, monkeypatch):
 def test_convolution_working_set(monkeypatch):
     # traced peaks at 48^3: 21.4 MB for a first kernel build and 9.95 MB for
     # one convolution when the whole (2M)^N kernel and padded spectrum were
-    # built; 5.74 and 4.53 MB with the octant and 2 MB slabs.  The bounds
+    # built; 5.74 and 4.53 MB with the octant and 1 MiB slabs.  The bounds
     # leave about 13% and 10% over those.
     g = Grid(3, 48, 24.0)
     f = Field(g, np.ones(g.shape))
