@@ -157,7 +157,7 @@ def cmd_decay(args) -> int:
 
 
 def cmd_extension_check(args) -> int:
-    cfg = _prepare(args, allow_s_list=True, unread=())
+    cfg = _prepare(args, allow_s_list=True, unread=("tol", "max_iters", "R"))
     grid = cfg["grid"]
     J = 256
     seed = cfg["solver"]["seed"] if args.seed is None else args.seed

@@ -21,17 +21,19 @@ kernel's images pollute the small-frequency behavior; zero-padding removes
 wrap-around exactly.  The kernel is even in every axis, so its transform is
 real and even, and one octant of it (bins 0..M of every axis) holds all of
 it: that octant is built one axis at a time as type-1 DCTs, and no (2M)^N
-array is built or kept.  A padded spectrum larger than _SLAB_BYTES (1 MiB,
-half the host's L2) is transformed in slabs of last-axis bins, so the working
-set of a convolution stays near that budget plus a few M^N arrays whatever M
-is.  One caveat follows from the same choice: the lattice
-symmetry action identifies the -L/2 box faces periodically while the linear
-convolution does not, so equivariance statements for the convolution hold
-on fields that vanish at those faces (every decaying solution does).
+array is built or kept.  The padded spectrum is transformed in slabs of
+last-axis bins within _SLAB_BYTES (1 MiB, half the host's L2), and one that
+fits is a single slab, so the working set of a convolution stays near that
+budget plus a few M^N arrays whatever M is.  One caveat follows from the
+zero-padding: the lattice symmetry action identifies the -L/2 box faces
+periodically while the linear convolution does not, so equivariance
+statements for the convolution hold on fields that vanish at those faces
+(every decaying solution does).
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -47,6 +49,10 @@ class Grid:
     L: float
 
     def __post_init__(self):
+        for name in ("N_dims", "M"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer; got {value!r}")
         if self.M < 8 or self.M % 2:
             raise ValueError(f"M must be even and >= 8; got {self.M}")
         if not 0.0 < self.L < np.inf:
@@ -223,9 +229,9 @@ class _LRU:
 # A run uses one (grid, alpha); the tests cycle through a few.
 _kernel_cache = _LRU(4)
 
-# Padded spectra above this many bytes are transformed in slabs of last-axis
-# bins.  1 MiB is half the 2 MB L2 cache of the host in perfbench's
-# provenance, so a slab and its kernel block stay there together through the
+# The padded spectrum is transformed in slabs of last-axis bins of at most
+# this many bytes (at least one bin).  1 MiB is half the 2 MB L2 cache of
+# the host in perfbench's provenance, so a slab and its kernel block stay there together through the
 # leading-axis passes and the multiply, and the working set stays near 1 MiB
 # whatever M is.  On that host a 48^3 convolution took 0.96-0.98 times as
 # long as with the whole padded spectrum at 1 MiB, 0.97-1.04 at 2 MiB and
@@ -298,25 +304,21 @@ def _kernel_octant(grid: Grid, alpha: float) -> np.ndarray:
 def _kernel_transform(grid: Grid, alpha: float) -> tuple:
     """Cached kernel transform for (grid, alpha), one block per slab.
 
-    The octant, mirrored out along some leading axes (2M bins there, M + 1
-    on the others), then cut into contiguous blocks of as many last-axis
-    bins as a slab of the padded spectrum holds within _SLAB_BYTES (at
-    least one, at most all M + 1).  A spectrum within the budget is one
-    slab, and its transform is mirrored out along every leading axis: the
-    (2M)^(N-1) (M + 1) rfftn half, at most half the budget, so the multiply
-    is one contiguous pass.  Past the budget only the axis next to the last
-    is mirrored out.  Kept as the bare octant, that axis too would need a
-    mirrored view, whose inner loops are only one slab's few bins long: the
-    multiply took 2.4 times as long at 48^3 with 14-bin slabs.  Mirrored
-    out, it runs over long contiguous rows, and only the outer leading axes
-    need mirrored views.
+    The octant, mirrored out along the axis next to the last (2M bins there,
+    M + 1 on the others), cut into contiguous blocks of as many last-axis
+    bins as a slab of the padded spectrum holds within _SLAB_BYTES (at least
+    one, at most all M + 1).  Kept as the bare octant, that axis too would
+    need a mirrored view, whose inner loops are only one slab's few bins
+    long: the multiply took 2.4 times as long at 48^3 with 14-bin slabs.
+    Mirrored out, it runs over long contiguous rows, and only the outer
+    leading axes need mirrored views (_times_kernel).
     """
     def build():
         N, M = grid.N_dims, grid.M
         width = min(M + 1, max(1, _SLAB_BYTES // (16 * (2 * M) ** (N - 1))))
         khat = _kernel_octant(grid, alpha)
-        for ax in range(N - 1) if width > M else range(N - 1)[-1:]:
-            khat = khat.take(_mirror(M), axis=ax)
+        if N > 1:
+            khat = khat.take(_mirror(M), axis=N - 2)
         return tuple(np.ascontiguousarray(khat[..., b : b + width]) for b in range(0, M + 1, width))
 
     return _kernel_cache.lookup((grid, round(alpha, 12)), build)
@@ -393,25 +395,18 @@ def riesz_convolve(f: Field, alpha: float) -> Field:
     built (Hockney & Eastwood): the last axis is padded by rfft, and the
     leading axes are transformed in place, pruned to the entries that can be
     nonzero (_padded_product).  The kernel transform is kept as its octant,
-    mirrored out along the leading axes where that keeps the multiply's
-    rows long (_kernel_transform).
+    mirrored out along the axis next to the last (_kernel_transform).
 
     The leading-axis passes and the multiply of one last-axis bin never read
-    another bin, so a padded spectrum larger than _SLAB_BYTES runs them over
-    slabs of last-axis bins, one slab buffer reused: the rfft half is
+    another bin, so they run over slabs of last-axis bins within
+    _SLAB_BYTES, one slab buffer reused (_slabbed_product): the rfft half is
     copied into each slab and the slab's cropped result back.  A spectrum
-    within the budget is one slab, allocated zeroed, and the rfft writes
-    straight into it.
+    within the budget is one slab.
     """
     grid = f.grid
     blocks = _kernel_transform(grid, alpha)
-    n, M, lead = 2 * grid.M, grid.M, grid.N_dims - 1
-    if len(blocks) == 1:
-        spec = np.zeros((n,) * lead + (M + 1,), np.complex128)
-        np.fft.rfft(f.values, n=n, axis=-1, out=spec[(slice(0, M),) * lead])
-        half = _padded_product(spec, blocks[0], M)
-    else:
-        half = np.fft.rfft(f.values, n=n, axis=-1)
-        _slabbed_product(half, blocks, M)
+    n, M = 2 * grid.M, grid.M
+    half = np.fft.rfft(f.values, n=n, axis=-1)
+    _slabbed_product(half, blocks, M)
     out = np.fft.irfft(half, n=n, axis=-1)[..., :M]
     return Field(grid, grid.cellvol * out)

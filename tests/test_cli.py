@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_read_field_size_mismatch(tmp_path, rng):
     u = Field(g, rng.standard_normal(g.shape))
     path = tmp_path / "u.f64"
     write_field(path, u)
-    sidecar = json.loads(open(str(path) + ".json").read())
+    sidecar = json.loads(Path(f"{path}.json").read_text())
     sidecar["M"] = 16
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh)
@@ -140,7 +141,7 @@ def test_read_field_refuses_what_it_cannot_read(tmp_path, rng, key, value, match
     g = Grid(2, 8, 4.0)
     path = tmp_path / "u.f64"
     write_field(path, Field(g, rng.standard_normal(g.shape)))
-    sidecar = json.loads(open(str(path) + ".json").read())
+    sidecar = json.loads(Path(f"{path}.json").read_text())
     if value is None:
         del sidecar[key]
     else:
@@ -154,7 +155,7 @@ def test_read_field_refuses_what_it_cannot_read(tmp_path, rng, key, value, match
 def test_write_report_numpy_types(tmp_path):
     path = tmp_path / "r.json"
     write_report(path, {"a": np.float64(1.5), "b": np.int64(3), "c": np.arange(3)})
-    data = json.loads(open(path).read())
+    data = json.loads(path.read_text())
     assert data == {"a": 1.5, "b": 3, "c": [0, 1, 2]}
 
 
@@ -239,7 +240,7 @@ def test_cli_decay_refuses_incomplete_sidecar(tmp_path, capsys):
 
 def test_cli_extension_check(tmp_path, capsys):
     outdir = tmp_path / "run"
-    cfg = base_config(outdir)
+    cfg = base_config(outdir, solver={})
     cfg["problem"]["s"] = [0.25, 0.5, 0.75]
     cfg["grid"] = {"M": 12, "L": 8.0}
     path = write_json(tmp_path / "c.json", cfg)
@@ -380,7 +381,7 @@ def test_cli_out_override(tmp_path):
 
 
 def test_cli_seed_override_is_extension_check_only(tmp_path, capsys):
-    cfg = base_config(tmp_path / "run")
+    cfg = base_config(tmp_path / "run", solver={})
     cfg["problem"]["s"] = [0.5]
     path = write_json(tmp_path / "c.json", cfg)
 
@@ -406,26 +407,30 @@ def test_cli_groundstate_report_omits_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
-# Each of these once exited 0: groundstate echoed an R it never used, and the
-# solve commands dropped the seed that only extension-check reads.
+# Each of these once exited 0: groundstate echoed an R it never used, the
+# solve commands dropped the seed that only extension-check reads, and
+# extension-check ignored the solver's tol, max_iters and R.
 @pytest.mark.parametrize("command, group, solver", [
     ("groundstate", "trivial", {"R": 0.3}),
     ("groundstate", "trivial", {"seed": 5}),
     ("saddle", "A1", {"R": 0.3, "seed": 5}),
     ("table", ["trivial", "A1"], {"seed": 5}),
+    ("extension-check", "trivial", {"tol": 1e-3}),
+    ("extension-check", "trivial", {"max_iters": 400}),
+    ("extension-check", "trivial", {"seed": 5, "R": 0.3}),
 ])
 def test_cli_refuses_solver_keys_the_command_ignores(tmp_path, capsys, command, group, solver):
-    cfg = base_config(tmp_path / "run", group={"name": group})
-    cfg["solver"].update(solver)
+    cfg = base_config(tmp_path / "run", group={"name": group}, solver=solver)
     path = write_json(tmp_path / "c.json", cfg)
     assert main([command, "--config", path]) == 1
-    key = "R" if command == "groundstate" and "R" in solver else "seed"
+    refused = {"groundstate": ("R", "seed"), "extension-check": ("tol", "max_iters", "R")}
+    key = next(k for k in solver if k in refused.get(command, ("seed",)))
     assert f"error: 'solver.{key}' is not read by this command" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
 def test_cli_extension_check_reads_the_config_seed(tmp_path, capsys):
-    cfg = base_config(tmp_path / "run")
+    cfg = base_config(tmp_path / "run", solver={})
     cfg["problem"]["s"] = [0.5]
 
     def lhs(seed):

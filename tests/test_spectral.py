@@ -71,6 +71,16 @@ def test_grid_validation():
             Grid(3, 16, L)
 
 
+def test_grid_refuses_non_integer_sizes():
+    # Grid(3, 16.0, 8.0) once built and then failed inside riesz_convolve
+    # with a dtype cast error
+    for args in [(3, 16.0, 8.0), (3, np.float64(16), 8.0), (True, 16, 8.0), (3, "16", 8.0)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            Grid(*args)
+    g = Grid(np.int64(3), np.int32(16), 8.0)
+    assert g.shape == (16, 16, 16)
+
+
 def test_field_shape_check():
     g = small_grid()
     with pytest.raises(ValueError):
@@ -293,22 +303,29 @@ def test_convolution_matches_full_pad(N, alpha, rng):
 def test_kernel_octant_matches_full_transform(N, alpha, monkeypatch):
     # the per-axis DCT-I of the octant against the rfftn of the whole (2M)^N
     # kernel: bins 0..M of every axis.  The stored blocks side by side are
-    # the whole rfftn half within one slab, and past the budget bins 0..M of
-    # the outer leading axes and every bin of the next one
+    # bins 0..M of the outer leading axes and every bin of the axis next to
+    # the last, within one slab and past the budget alike
     g = Grid(N, 16, 8.0)
     full = full_kernel_transform(g, alpha)
     octant = spectral._kernel_octant(g, alpha)
     assert octant.shape == (g.M + 1,) * N
     want = full[(slice(0, g.M + 1),) * (N - 1)]
     assert np.abs(octant - want).max() <= 1e-15 * np.abs(want).max()
-    monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
-    stored = np.concatenate(spectral._kernel_transform(g, alpha), axis=-1)
-    assert np.abs(stored - full).max() <= 1e-15 * np.abs(full).max()
-    monkeypatch.setattr(spectral, "_SLAB_BYTES", 3 * 16 * (2 * g.M) ** (N - 1))
-    monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
-    stored = np.concatenate(spectral._kernel_transform(g, alpha), axis=-1)
     want = full[(slice(0, g.M + 1),) * max(N - 2, 0)]
-    assert np.abs(stored - want).max() <= 1e-15 * np.abs(want).max()
+    for budget in (spectral._SLAB_BYTES, 3 * 16 * (2 * g.M) ** (N - 1)):
+        monkeypatch.setattr(spectral, "_SLAB_BYTES", budget)
+        monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+        stored = np.concatenate(spectral._kernel_transform(g, alpha), axis=-1)
+        assert np.abs(stored - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_kernel_cache_keeps_one_mirrored_axis(monkeypatch):
+    # 24^3 is one slab, and its kernel is the octant mirrored out along the
+    # axis next to the last only: 25 x 48 x 25 doubles
+    g = Grid(3, 24, 18.0)
+    monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+    blocks = spectral._kernel_transform(g, 2.0)
+    assert sum(b.nbytes for b in blocks) == 25 * 48 * 25 * 8
 
 
 @pytest.mark.parametrize("N, M, alpha", [(1, 16, 0.5), (2, 16, 1.0), (3, 12, 2.0), (3, 16, 0.5)])
