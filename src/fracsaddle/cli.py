@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _prepare(args, allow_s_list=False, unread=("seed",)):
+def _prepare(args, allow_s_list=False, unread=("solver.seed",)):
     cfg = load_config(args.config, allow_s_list=allow_s_list, unread=unread)
     if args.out is not None:
         cfg["output"]["dir"] = args.out
@@ -114,7 +114,7 @@ def _run_and_write(cfg, sc: SolverConfig) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    cfg = _prepare(args, unread=("seed", "R"))
+    cfg = _prepare(args, unread=("solver.seed", "solver.R"))
     group = resolve_group(cfg["group_spec"])
     if not group.is_trivial():
         raise ConfigError("groundstate runs need the trivial group")
@@ -157,7 +157,8 @@ def cmd_decay(args) -> int:
 
 
 def cmd_extension_check(args) -> int:
-    cfg = _prepare(args, allow_s_list=True, unread=("tol", "max_iters", "R"))
+    cfg = _prepare(args, allow_s_list=True,
+                   unread=("group", "solver.tol", "solver.max_iters", "solver.R"))
     grid = cfg["grid"]
     J = 256
     seed = cfg["solver"]["seed"] if args.seed is None else args.seed
@@ -184,7 +185,7 @@ def cmd_extension_check(args) -> int:
 
 
 def cmd_info(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, unread=("group", "solver"))
     params = cfg["params"]
     print(f"N={params.N} s={params.s} alpha={params.alpha} p={params.p}")
     print(f"A_alpha            = {riesz_constant(params.N, params.alpha):.12g}")

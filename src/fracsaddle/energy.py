@@ -44,20 +44,26 @@ class _Evaluation(NamedTuple):
     D: float
 
     def scaled(self, t: float, p: float) -> "_Evaluation":
-        """The evaluation of t u, by homogeneity."""
-        return _Evaluation(t * self.uhat, t**p * self.conv, t**2 * self.Q, t ** (2.0 * p) * self.D)
+        """The evaluation of t u, by homogeneity; u_hat and the convolution
+        are rescaled in place, so this evaluation's arrays are overwritten."""
+        np.multiply(self.uhat, t, out=self.uhat)
+        np.multiply(self.conv, t**p, out=self.conv)
+        return self._replace(Q=t**2 * self.Q, D=t ** (2.0 * p) * self.D)
 
 
 def _evaluate(values: np.ndarray, grid: Grid, params: ModelParams, mult: np.ndarray) -> _Evaluation:
-    """One rfftn and one padded convolution; mult is |xi|^{2s} on the half spectrum."""
-    uhat = rfftn(values)
-    Q = half_parseval_sum(grid, uhat, 1.0 + mult)
+    """One padded convolution and one rfftn; mult is |xi|^{2s} on the half
+    spectrum.  The convolution runs first and |u|^p is freed before the
+    rfftn, so neither u_hat nor |u|^p is held during the other's work."""
     up = np.abs(values) ** params.p
     conv = riesz_convolve(Field(grid, up), params.alpha).values
     # einsum's own loop: no conv * up temporary, and unlike np.dot no BLAS
     # call, which can go multithreaded (slower on a busy host) and reorders
     # the sum with the thread count
     D = grid.cellvol * float(np.einsum("i,i->", conv.ravel(), up.ravel()))
+    del up
+    uhat = rfftn(values)
+    Q = half_parseval_sum(grid, uhat, 1.0 + mult)
     return _Evaluation(uhat, conv, Q, D)
 
 

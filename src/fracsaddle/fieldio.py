@@ -62,7 +62,8 @@ def load_config(path, allow_s_list=False, unread=()) -> dict:
     order); params then carries the first value and every listed value is
     checked against the norm-side constraints only.  s_values holds the
     validated values of 's' as floats, a single one when 's' is a number.
-    A solver key named in unread is refused: the command would not read it.
+    A key that unread names ("solver.seed"), or any key of a section that
+    it names ("group"), is refused: the command would not read it.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -78,6 +79,9 @@ def load_config(path, allow_s_list=False, unread=()) -> dict:
         if not isinstance(data, dict):
             raise ConfigError(f"section '{section}' must be an object")
         _check_keys(section, data)
+        for k in data:
+            if section in unread or f"{section}.{k}" in unread:
+                raise ConfigError(f"'{section}.{k}' is not read by this command; remove it")
 
     prob = raw["problem"]
     for k in ("N", "s", "alpha", "p"):
@@ -120,8 +124,6 @@ def load_config(path, allow_s_list=False, unread=()) -> dict:
 
     solver = dict(_SOLVER_DEFAULTS)
     for k, v in raw.get("solver", {}).items():
-        if k in unread:
-            raise ConfigError(f"'solver.{k}' is not read by this command; remove it")
         if k != "R" or v is not None:
             v = _number(f"solver.{k}", v, integer=k in ("max_iters", "seed"))
         solver[k] = v

@@ -241,9 +241,11 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     irfftn; the residual is a Parseval sum on the half spectrum of g.
     Anderson mixing (Walker & Ni 2011) over the last _DEPTH differences of
     w and of the residual f = w - u proposes w - dW gamma, with gamma the
-    least-squares fit of f by dF.  w and every dW row lie in the class
-    bitwise, and the mix is formed by elementwise operations, which round a
-    node and its signed images alike, so it needs no second projection.
+    least-squares fit of f by dF.  The dW and dF rows are stored as
+    float32 and the fit's Gram matrix in float64.  w and every dW row lie
+    in the class bitwise (float32 rounding is odd), and the mix is formed
+    in float64 by elementwise operations, which round a node and its
+    signed images alike, so it needs no second projection.
     A candidate is accepted, and rescaled onto the Nehari set, only if its
     interaction D is positive and its closed-form Nehari energy is below
     the current one, up to _SLACK rounding units.  A rejected mix
@@ -294,8 +296,9 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
                 return cev, cE
         return None
 
-    dW = np.empty((_DEPTH,) + grid.shape)
-    dF = np.empty((_DEPTH,) + grid.shape)
+    dW = np.empty((_DEPTH,) + grid.shape, np.float32)
+    dF = np.empty((_DEPTH,) + grid.shape, np.float32)
+    gram = np.empty((_DEPTH, _DEPTH))  # dF row products, summed in float64
     stored = 0  # difference rows filled since the last reset
     w_prev = f_prev = None
     trace = {"residual": [], "energy": [], "step": []}
@@ -328,8 +331,12 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         kind, found = None, None
         m = min(stored, _DEPTH)
         if m:
+            # einsum casts the float32 rows in buffered chunks, and unlike
+            # F @ F.T it calls no BLAS product; only the row just stored
+            # has new products
             F = dF[:m].reshape(m, -1)
-            gamma = np.linalg.lstsq(F @ F.T, F @ f.ravel(), rcond=None)[0]
+            gram[row, :m] = gram[:m, row] = np.einsum("ij,j->i", F, F[row], dtype=np.float64)
+            gamma = np.linalg.lstsq(gram[:m, :m], np.einsum("ij,j->i", F, f.ravel()), rcond=None)[0]
             cand = w.copy()
             for k in range(m):
                 cand -= gamma[k] * dW[k]
@@ -351,9 +358,12 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         if not found:
             stalled = True
             break
-        cev, E = found
-        tt = _nehari_factor(cev.Q, cev.D, p)
-        u, ev = tt * cand, cev.scaled(tt, p)
+        ev, E = found
+        del found  # else ev's u_hat and convolution outlive ev's dropping them
+        tt = _nehari_factor(ev.Q, ev.D, p)
+        ev = ev.scaled(tt, p)
+        # a plain step's cand is w, which w_prev keeps unscaled
+        u = tt * cand if cand is w else np.multiply(cand, tt, out=cand)
     else:
         # out of iterations after a step: report the residual of the returned u
         residual = _residual(grid, _gradient_hat(ev, mult, _force_hat(u, ev, p)), ev.uhat)

@@ -401,12 +401,19 @@ def riesz_convolve(f: Field, alpha: float) -> Field:
     another bin, so they run over slabs of last-axis bins within
     _SLAB_BYTES, one slab buffer reused (_slabbed_product): the rfft half is
     copied into each slab and the slab's cropped result back.  A spectrum
-    within the budget is one slab.
+    within the budget is one slab.  The last axis's irfft then runs over
+    chunks of rows, each chunk's output within _SLAB_BYTES, and each
+    chunk's crop goes straight into the result.
     """
     grid = f.grid
     blocks = _kernel_transform(grid, alpha)
     n, M = 2 * grid.M, grid.M
     half = np.fft.rfft(f.values, n=n, axis=-1)
     _slabbed_product(half, blocks, M)
-    out = np.fft.irfft(half, n=n, axis=-1)[..., :M]
-    return Field(grid, grid.cellvol * out)
+    out = np.empty(grid.shape)
+    lines, spec = out.reshape(-1, M), half.reshape(-1, M + 1)
+    step = max(1, _SLAB_BYTES // (8 * n))
+    for r in range(0, len(lines), step):
+        lines[r : r + step] = np.fft.irfft(spec[r : r + step], n=n)[:, :M]
+    out *= grid.cellvol
+    return Field(grid, out)

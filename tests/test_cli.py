@@ -162,7 +162,7 @@ def test_write_report_numpy_types(tmp_path):
 # -- CLI ---------------------------------------------------------------------
 
 def test_cli_info(tmp_path, capsys):
-    path = write_json(tmp_path / "c.json", base_config(tmp_path))
+    path = write_json(tmp_path / "c.json", base_config(tmp_path, solver={}))
     assert main(["info", "--config", path]) == 0
     out = capsys.readouterr().out
     assert "critical exponent" in out
@@ -426,6 +426,23 @@ def test_cli_refuses_solver_keys_the_command_ignores(tmp_path, capsys, command, 
     refused = {"groundstate": ("R", "seed"), "extension-check": ("tol", "max_iters", "R")}
     key = next(k for k in solver if k in refused.get(command, ("seed",)))
     assert f"error: 'solver.{key}' is not read by this command" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# Each of these once exited 0: neither command resolves a group, and info
+# reads no solver key.
+@pytest.mark.parametrize("command, section, value, message", [
+    ("extension-check", "group", {"name": "B3"}, "'group.name'"),
+    ("info", "group", {"name": "A1"}, "'group.name'"),
+    ("info", "solver", {"tol": 1e-3}, "'solver.tol'"),
+    ("info", "solver", {"seed": 4, "R": 0.2}, "'solver.seed'"),
+])
+def test_cli_refuses_sections_the_command_ignores(tmp_path, capsys, command, section, value, message):
+    cfg = base_config(tmp_path / "run", solver={})
+    cfg[section] = value
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main([command, "--config", path]) == 1
+    assert f"error: {message} is not read by this command" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
