@@ -11,6 +11,9 @@ from .energy import _action, _evaluate_field, _force_hat, _gradient_hat, _residu
 from .solver import SolverConfig, _index_table, initial_guess, solve
 from .spectral import Field
 
+# Nodes with |u| at or below this fraction of max |u| count as the nodal set.
+_EPS_REL = 1e-3
+
 
 @dataclass(frozen=True)
 class NodalReport:
@@ -53,7 +56,7 @@ def _label(mask: np.ndarray) -> np.ndarray:
     return labels
 
 
-def nodal_domains(u: Field, eps_rel: float = 1e-3) -> NodalReport:
+def nodal_domains(u: Field) -> NodalReport:
     """Count connected components of {u > eps} and {u < -eps} separately.
 
     Face adjacency, non-periodic at the box boundary: the box truncates
@@ -61,12 +64,10 @@ def nodal_domains(u: Field, eps_rel: float = 1e-3) -> NodalReport:
     region.  Component sizes are reported so spurious slivers can be
     flagged by the caller.
     """
-    if not 0.0 < eps_rel < 1.0:
-        raise ValueError(f"eps_rel must lie in (0, 1); got {eps_rel}")
     amax = float(np.abs(u.values).max())
     if amax == 0.0:
         raise ValueError("nodal_domains needs a nonzero field")
-    eps = eps_rel * amax
+    eps = _EPS_REL * amax
     sizes = []
     for mask in (u.values > eps, u.values < -eps):
         labels = _label(mask)
@@ -111,21 +112,20 @@ def decay_exponent(u: Field, r_min_frac: float = 0.2, r_max_frac: float = 0.4) -
     return float(slope)
 
 
-def sign_on_fundamental_domain(u: Field, G: CoxeterGroup, eps_rel: float = 1e-3) -> bool:
+def sign_on_fundamental_domain(u: Field, G: CoxeterGroup) -> bool:
     """True iff nodes strictly inside the chamber with |u| above threshold
     share a single sign."""
     amax = float(np.abs(u.values).max())
     if amax == 0.0:
         return False
-    eps = eps_rel * amax
+    eps = _EPS_REL * amax
     C = G.chamber()
     k = C.normals.shape[1]
-    x = u.grid.axis_nodes()
-    mesh = np.meshgrid(*([x] * u.grid.N_dims), indexing="ij")
+    x = u.grid.coords()
     inside = np.ones(u.grid.shape, dtype=bool)
     tol = 1e-9 * u.grid.L
     for n in C.normals:
-        d = sum(n[c] * mesh[c] for c in range(k))
+        d = sum(n[c] * x[c] for c in range(k))
         inside &= d > tol
     vals = u.values[inside]
     vals = vals[np.abs(vals) > eps]

@@ -55,30 +55,21 @@ def _build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--window", type=float, nargs=2, default=(0.2, 0.4),
                     metavar=("RMIN", "RMAX"), help="fit window as fractions of L")
     dp.add_argument("--out", default=None, help="write a JSON report here")
-    ep = with_config(sub.add_parser("extension-check", help="energy identity sweep over s"))
-    ep.add_argument("--seed", type=int, default=None, help="override solver.seed (test field)")
+    with_config(sub.add_parser("extension-check", help="energy identity sweep over s"))
     ip = sub.add_parser("info", help="print the analytic constants for a problem")
     ip.add_argument("--config", required=True)
     return ap
 
 
-def _prepare(args, allow_s_list=False, unread=("solver.seed",)):
-    cfg = load_config(args.config, allow_s_list=allow_s_list, unread=unread)
+def _prepare(args):
+    cfg = load_config(args.config, args.command)
     if args.out is not None:
         cfg["output"]["dir"] = args.out
     return cfg
 
 
 def _solver_config(cfg, group) -> SolverConfig:
-    sv = cfg["solver"]
-    return SolverConfig(
-        params=cfg["params"],
-        grid=cfg["grid"],
-        group=group,
-        max_iters=sv["max_iters"],
-        tol=sv["tol"],
-        R=sv["R"],
-    )
+    return SolverConfig(params=cfg["params"], grid=cfg["grid"], group=group, **cfg["solver"])
 
 
 def _run_and_write(cfg, sc: SolverConfig) -> int:
@@ -114,7 +105,7 @@ def _run_and_write(cfg, sc: SolverConfig) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    cfg = _prepare(args, unread=("solver.seed", "solver.R"))
+    cfg = _prepare(args)
     group = resolve_group(cfg["group_spec"])
     if not group.is_trivial():
         raise ConfigError("groundstate runs need the trivial group")
@@ -157,12 +148,10 @@ def cmd_decay(args) -> int:
 
 
 def cmd_extension_check(args) -> int:
-    cfg = _prepare(args, allow_s_list=True,
-                   unread=("group", "solver.tol", "solver.max_iters", "solver.R"))
+    cfg = _prepare(args)
     grid = cfg["grid"]
     J = 256
-    seed = cfg["solver"]["seed"] if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["solver"]["seed"])
     noise = rng.standard_normal(grid.shape)
     damp = np.exp(-0.5 * grid.half_freq_norm_sq())
     smooth = spectral.irfftn(spectral.rfftn(noise) * damp, grid.shape)
@@ -185,7 +174,7 @@ def cmd_extension_check(args) -> int:
 
 
 def cmd_info(args) -> int:
-    cfg = load_config(args.config, unread=("group", "solver"))
+    cfg = load_config(args.config, args.command)
     params = cfg["params"]
     print(f"N={params.N} s={params.s} alpha={params.alpha} p={params.p}")
     print(f"A_alpha            = {riesz_constant(params.N, params.alpha):.12g}")

@@ -15,26 +15,32 @@ from .coxeter import CoxeterGroup, named_group
 from .params import ModelParams, admissible
 from .spectral import Field, Grid
 
-_CONFIG_KEYS = {
+_SOLVE_KEYS = {
     "problem": {"N", "s", "alpha", "p", "experimental"},
     "grid": {"M", "L"},
     "group": {"name", "generators"},
-    "solver": {"tol", "max_iters", "seed", "R"},
+    "solver": {"tol", "max_iters", "R"},
     "output": {"dir"},
 }
+# The keys each command reads, section by section.  A known key outside its
+# command's set is refused, and a section is required only where it is read.
+_READS = {
+    "groundstate": {**_SOLVE_KEYS, "solver": {"tol", "max_iters"}},
+    "saddle": _SOLVE_KEYS,
+    "table": _SOLVE_KEYS,
+    "extension-check": {"problem": _SOLVE_KEYS["problem"], "grid": {"M", "L"},
+                        "solver": {"seed"}, "output": {"dir"}},
+    "info": {"problem": _SOLVE_KEYS["problem"]},
+}
+# Every key that some command reads; any other key is unknown.
+_CONFIG_KEYS = {sec: set().union(*(r.get(sec, ()) for r in _READS.values()))
+                for sec in _SOLVE_KEYS}
 
 _SOLVER_DEFAULTS = {"tol": 1e-6, "max_iters": 2000, "seed": 0, "R": None}
-_OUTPUT_DEFAULTS = {"dir": "out"}
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _check_keys(section: str, data: dict) -> None:
-    unknown = set(data) - _CONFIG_KEYS[section]
-    if unknown:
-        raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
 
 
 def _number(where: str, value, integer: bool = False):
@@ -52,19 +58,19 @@ def _number(where: str, value, integer: bool = False):
     return int(value)
 
 
-def load_config(path, allow_s_list=False, unread=()) -> dict:
-    """Parse and validate a run configuration file.
+def load_config(path, command) -> dict:
+    """Parse and validate a run configuration file for command.
 
-    Returns a resolved dict with keys params, grid, group_spec, solver,
-    output and s_values; group resolution is deferred to resolve_group so
-    the table command can accept a list of names.  With allow_s_list the
-    problem section may give 's' as a list (for sweeps over the fractional
+    A key that command does not read (_READS) is refused.  Returns params,
+    s_values, and grid, group_spec, solver and output where command reads
+    them, defaulted only in the keys it reads; group resolution is deferred
+    to resolve_group so the table command can accept a list of names.  Only
+    extension-check may give 's' as a list (a sweep over the fractional
     order); params then carries the first value and every listed value is
     checked against the norm-side constraints only.  s_values holds the
     validated values of 's' as floats, a single one when 's' is a number.
-    A key that unread names ("solver.seed"), or any key of a section that
-    it names ("group"), is refused: the command would not read it.
     """
+    reads = _READS[command]
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -73,14 +79,16 @@ def load_config(path, allow_s_list=False, unread=()) -> dict:
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
     for section in ("problem", "grid"):
-        if section not in raw:
+        if section in reads and section not in raw:
             raise ConfigError(f"missing required section '{section}'")
     for section, data in raw.items():
         if not isinstance(data, dict):
             raise ConfigError(f"section '{section}' must be an object")
-        _check_keys(section, data)
+        unknown = set(data) - _CONFIG_KEYS[section]
+        if unknown:
+            raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
         for k in data:
-            if section in unread or f"{section}.{k}" in unread:
+            if k not in reads.get(section, ()):
                 raise ConfigError(f"'{section}.{k}' is not read by this command; remove it")
 
     prob = raw["problem"]
@@ -98,7 +106,7 @@ def load_config(path, allow_s_list=False, unread=()) -> dict:
     if sweep:
         # Sweeps over the fractional order never form the interaction term,
         # so only the norm-side constraints apply, not the p bound.
-        if not allow_s_list:
+        if command != "extension-check":
             raise ConfigError("'s' must be a single number for this command")
         if not s_raw:
             raise ConfigError("'s' list must be nonempty")
@@ -116,43 +124,41 @@ def load_config(path, allow_s_list=False, unread=()) -> dict:
             f"0 < alpha < N, N > 2s, and 2 <= p < (N + alpha)/(N - 2s)"
             + ("" if params.N != 2 else "; N = 2 needs experimental: true")
         )
-    gsec = raw["grid"]
-    for k in ("M", "L"):
-        if k not in gsec:
-            raise ConfigError(f"grid section needs '{k}'")
-    grid = Grid(params.N, _number("grid.M", gsec["M"], integer=True), _number("grid.L", gsec["L"]))
-
-    solver = dict(_SOLVER_DEFAULTS)
-    for k, v in raw.get("solver", {}).items():
-        if k != "R" or v is not None:
-            v = _number(f"solver.{k}", v, integer=k in ("max_iters", "seed"))
-        solver[k] = v
-    output = dict(_OUTPUT_DEFAULTS)
-    output.update(raw.get("output", {}))
-    if not isinstance(output["dir"], str):
-        raise ConfigError(f"'output.dir' must be a string; got {output['dir']!r}")
-    group = raw.get("group", {"name": "trivial"})
-    if "name" in group and "generators" in group:
-        raise ConfigError("'group' takes 'name' or 'generators', not both")
-    if not all(isinstance(n, str) for n in group_name_list(group)):
-        raise ConfigError(f"'group.name' must be a name or a list of names; got {group['name']!r}")
-    if "generators" in group:
-        gens = group["generators"]
-        if not (isinstance(gens, list) and all(
-            isinstance(g, list) and all(isinstance(r, list) for r in g) for g in gens
-        )):
-            raise ConfigError(f"'group.generators' must be a list of matrices (lists of rows); got {gens!r}")
-        group["generators"] = [
-            [[_number("group.generators", v, integer=True) for v in r] for r in g] for g in gens
-        ]
-    return {
-        "params": params,
-        "grid": grid,
-        "group_spec": group,
-        "solver": solver,
-        "output": output,
-        "s_values": s_values,
-    }
+    cfg = {"params": params, "s_values": s_values}
+    if "grid" in reads:
+        gsec = raw["grid"]
+        for k in ("M", "L"):
+            if k not in gsec:
+                raise ConfigError(f"grid section needs '{k}'")
+        M = _number("grid.M", gsec["M"], integer=True)
+        cfg["grid"] = Grid(N, M, _number("grid.L", gsec["L"]))
+    if "group" in reads:
+        group = cfg["group_spec"] = raw.get("group", {"name": "trivial"})
+        if "name" in group and "generators" in group:
+            raise ConfigError("'group' takes 'name' or 'generators', not both")
+        if not all(isinstance(n, str) for n in group_name_list(group)):
+            raise ConfigError(f"'group.name' must be a name or a list of names; got {group['name']!r}")
+        if "generators" in group:
+            gens = group["generators"]
+            if not (isinstance(gens, list) and all(
+                isinstance(g, list) and all(isinstance(r, list) for r in g) for g in gens
+            )):
+                raise ConfigError("'group.generators' must be a list of matrices (lists of rows); "
+                                  f"got {gens!r}")
+            group["generators"] = [
+                [[_number("group.generators", v, integer=True) for v in r] for r in g] for g in gens
+            ]
+    if "solver" in reads:
+        cfg["solver"] = {k: v for k, v in _SOLVER_DEFAULTS.items() if k in reads["solver"]}
+        for k, v in raw.get("solver", {}).items():
+            if k != "R" or v is not None:
+                v = _number(f"solver.{k}", v, integer=k in ("max_iters", "seed"))
+            cfg["solver"][k] = v
+    if "output" in reads:
+        cfg["output"] = {"dir": raw.get("output", {}).get("dir", "out")}
+        if not isinstance(cfg["output"]["dir"], str):
+            raise ConfigError(f"'output.dir' must be a string; got {cfg['output']['dir']!r}")
+    return cfg
 
 
 def resolve_group(group_spec: dict) -> CoxeterGroup:
@@ -170,11 +176,7 @@ def group_name_list(group_spec: dict):
 
 
 def resolved_config_dict(params, grid, group, solver: dict, output: dict) -> dict:
-    """Full defaulted config echo so a solve is reproducible from its report.
-
-    solver.seed is left out: it draws extension-check's test field, and a
-    solve command refuses it.
-    """
+    """Full defaulted config echo so a solve is reproducible from its report."""
     return {
         "problem": {
             "N": params.N,
@@ -185,7 +187,7 @@ def resolved_config_dict(params, grid, group, solver: dict, output: dict) -> dic
         },
         "grid": {"M": grid.M, "L": grid.L},
         "group": {"name": group.name or "custom", "order": group.order},
-        "solver": {k: v for k, v in solver.items() if k != "seed"},
+        "solver": solver,
         "output": output,
     }
 

@@ -73,8 +73,6 @@ def test_nodal_validation():
     g = Grid(3, 8, 4.0)
     with pytest.raises(ValueError):
         nodal_domains(Field(g, np.zeros(g.shape)))
-    with pytest.raises(ValueError):
-        nodal_domains(Field(g, np.ones(g.shape)), eps_rel=2.0)
 
 
 @pytest.mark.parametrize("shape", [(40, 40), (17, 23), (12, 12, 12), (9, 14, 11)])
@@ -282,8 +280,9 @@ def test_energy_table_solves_each_conjugacy_class_once(table24):
 # x3 mirror needs a 3-cycle, where S and S^T differ, so swapping them would
 # put the reused field outside its class.  The anti-diagonal mirror needs a
 # negation whose -L/2 face layer is not pinned, which the padded convolution
-# does not see as a symmetry: its direct solve stalls after 58 iterations
-# and 77 evaluations at residual 2.45e-5, and the reused field measures
+# does not see as a symmetry: its direct solve reaches residual 2.45e-5 by
+# iteration 60 and stays there, so it runs all 2000 max_iters (2017
+# evaluations, about 10 s on two cores), and the reused field measures
 # 3.47e-5, so both report not converged, with energies 3.8e-10 apart
 # (relative).
 @pytest.mark.parametrize("mirror, source", [

@@ -43,31 +43,36 @@ def test_load_config_defaults(tmp_path):
         "problem": {"N": 3, "s": 0.5, "alpha": 2.0, "p": 2.0},
         "grid": {"M": 16, "L": 10.0},
     })
-    cfg = load_config(path)
+    cfg = load_config(path, "saddle")
     assert cfg["params"] == ModelParams(3, 0.5, 2.0, 2.0)
     assert cfg["grid"].M == 16
-    assert cfg["solver"]["tol"] == 1e-6
-    assert cfg["solver"]["max_iters"] == 2000
+    assert cfg["solver"] == {"tol": 1e-6, "max_iters": 2000, "R": None}
     assert cfg["group_spec"] == {"name": "trivial"}
     assert cfg["output"]["dir"] == "out"
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_json(tmp_path / "c.json", base_config(tmp_path, extra={"x": 1}))
-    with pytest.raises(ConfigError):
-        load_config(path)
+    with pytest.raises(ConfigError, match=r"unknown top-level key\(s\): \['extra'\]"):
+        load_config(path, "saddle")
     path = write_json(tmp_path / "c2.json", {
         "problem": {"N": 3, "s": 0.5, "alpha": 2.0, "p": 2.0, "qqq": 1},
         "grid": {"M": 12, "L": 8.0},
     })
-    with pytest.raises(ConfigError):
-        load_config(path)
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in 'problem': \['qqq'\]"):
+        load_config(path, "saddle")
 
 
 def test_load_config_requires_sections(tmp_path):
+    # a section is required only by the commands that read it
     path = write_json(tmp_path / "c.json", {"problem": {"N": 3, "s": 0.5, "alpha": 2.0, "p": 2.0}})
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for command in ("groundstate", "saddle", "table", "extension-check"):
+        with pytest.raises(ConfigError, match="missing required section 'grid'"):
+            load_config(path, command)
+    assert "grid" not in load_config(path, "info")
+    path = write_json(tmp_path / "g.json", {"grid": {"M": 12, "L": 8.0}})
+    with pytest.raises(ConfigError, match="missing required section 'problem'"):
+        load_config(path, "info")
 
 
 def test_load_config_inadmissible_params(tmp_path):
@@ -75,21 +80,66 @@ def test_load_config_inadmissible_params(tmp_path):
     bad["problem"]["s"] = 0.25  # p = 2 sits exactly on the critical exponent
     path = write_json(tmp_path / "c.json", bad)
     with pytest.raises(ConfigError, match="inadmissible"):
-        load_config(path)
+        load_config(path, "saddle")
 
 
 def test_load_config_s_list_needs_flag(tmp_path):
-    cfg = base_config(tmp_path)
+    # only extension-check sweeps s
+    cfg = base_config(tmp_path, solver={})
     cfg["problem"]["s"] = [0.25, 0.5]
     path = write_json(tmp_path / "c.json", cfg)
-    with pytest.raises(ConfigError):
-        load_config(path)
-    out = load_config(path, allow_s_list=True)
-    assert out["params"].s == 0.25
+    for command in ("groundstate", "saddle", "table"):
+        with pytest.raises(ConfigError, match="'s' must be a single number"):
+            load_config(path, command)
+    out = load_config(path, "extension-check")
+    assert out["params"].s == 0.25 and out["s_values"] == [0.25, 0.5]
     cfg["problem"]["s"] = [0.5, 1.5]
     path = write_json(tmp_path / "c2.json", cfg)
-    with pytest.raises(ConfigError):
-        load_config(path, allow_s_list=True)
+    with pytest.raises(ConfigError, match="s sweep values"):
+        load_config(path, "extension-check")
+
+
+# The config keys each command reads; every other known key is refused.
+SOLVE_KEYS = {"problem.N", "problem.s", "problem.alpha", "problem.p", "problem.experimental",
+              "grid.M", "grid.L", "group.name", "group.generators",
+              "solver.tol", "solver.max_iters", "solver.R", "output.dir"}
+READS = {
+    "groundstate": SOLVE_KEYS - {"solver.R"},
+    "saddle": SOLVE_KEYS,
+    "table": SOLVE_KEYS,
+    "extension-check": (SOLVE_KEYS | {"solver.seed"}) - {
+        "group.name", "group.generators", "solver.tol", "solver.max_iters", "solver.R"},
+    "info": {k for k in SOLVE_KEYS if k.startswith("problem.")},
+}
+# A value that each known key loads with.
+KEY_VALUES = {
+    "problem.N": 3, "problem.s": 0.5, "problem.alpha": 2.0, "problem.p": 2.0,
+    "problem.experimental": False, "grid.M": 12, "grid.L": 8.0, "group.name": "A1",
+    "group.generators": [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]]], "solver.tol": 1e-3,
+    "solver.max_iters": 400, "solver.seed": 5, "solver.R": 0.3, "output.dir": "run",
+}
+
+
+@pytest.mark.parametrize("key", sorted(KEY_VALUES))
+@pytest.mark.parametrize("command", sorted(READS))
+def test_load_config_reads_exactly_the_command_keys(tmp_path, command, key):
+    # info once required a grid and accepted an output directory it never used
+    cfg = {"problem": {"N": 3, "s": 0.5, "alpha": 2.0, "p": 2.0}}
+    if command != "info":
+        cfg["grid"] = {"M": 12, "L": 8.0}
+    section, name = key.split(".")
+    cfg.setdefault(section, {})[name] = KEY_VALUES[key]
+    path = write_json(tmp_path / "c.json", cfg)
+    if key not in READS[command]:
+        with pytest.raises(ConfigError, match=f"^'{key}' is not read by this command; remove it$"):
+            load_config(path, command)
+        return
+    out = load_config(path, command)
+    # the solver defaults cover exactly the solver keys the command reads
+    solver = {k.split(".")[1] for k in READS[command] if k.startswith("solver.")}
+    assert set(out.get("solver", {})) == solver
+    if section in ("solver", "output"):
+        assert out[section][name] == KEY_VALUES[key]
 
 
 def test_resolve_group_paths():
@@ -162,7 +212,7 @@ def test_write_report_numpy_types(tmp_path):
 # -- CLI ---------------------------------------------------------------------
 
 def test_cli_info(tmp_path, capsys):
-    path = write_json(tmp_path / "c.json", base_config(tmp_path, solver={}))
+    path = write_json(tmp_path / "c.json", {"problem": base_config(tmp_path)["problem"]})
     assert main(["info", "--config", path]) == 0
     out = capsys.readouterr().out
     assert "critical exponent" in out
@@ -333,7 +383,7 @@ def test_cli_rejects_config_that_is_not_an_object(tmp_path, capsys, raw):
 
 def test_load_config_normalizes_generators(tmp_path):
     cfg = base_config(tmp_path, group={"generators": [[[-1.0, 0], [0, 1]]]})
-    spec = load_config(write_json(tmp_path / "c.json", cfg))["group_spec"]
+    spec = load_config(write_json(tmp_path / "c.json", cfg), "saddle")["group_spec"]
     assert spec == {"generators": [[[-1, 0], [0, 1]]]}
     assert resolve_group(spec).order == 2
 
@@ -342,7 +392,7 @@ def test_load_config_keeps_integral_floats(tmp_path):
     cfg = base_config(tmp_path)
     cfg["grid"]["M"] = 12.0
     cfg["solver"]["max_iters"] = 400.0
-    out = load_config(write_json(tmp_path / "c.json", cfg))
+    out = load_config(write_json(tmp_path / "c.json", cfg), "saddle")
     assert out["grid"].M == 12
     assert out["solver"]["max_iters"] == 400 and isinstance(out["solver"]["max_iters"], int)
 
@@ -351,10 +401,10 @@ def test_cli_error_exits(tmp_path, capsys):
     # missing file
     assert main(["info", "--config", str(tmp_path / "nope.json")]) == 1
     # unknown config key
-    bad = base_config(tmp_path)
-    bad["problem"]["zzz"] = 1
+    bad = {"problem": {"N": 3, "s": 0.5, "alpha": 2.0, "p": 2.0, "zzz": 1}}
     path = write_json(tmp_path / "bad.json", bad)
     assert main(["info", "--config", path]) == 1
+    assert "unknown key(s) in 'problem': ['zzz']" in capsys.readouterr().err
     # the descent step is fixed at 1; a config that still sets it is refused
     bad = base_config(tmp_path)
     bad["solver"]["step"] = 1.0
@@ -381,19 +431,19 @@ def test_cli_out_override(tmp_path):
 
 
 def test_cli_seed_override_is_extension_check_only(tmp_path, capsys):
-    cfg = base_config(tmp_path / "run", solver={})
+    # the seed is config-only: solver.seed, which no other command reads;
+    # no command takes a --seed flag
+    cfg = base_config(tmp_path / "run", solver={"seed": 7})
     cfg["problem"]["s"] = [0.5]
     path = write_json(tmp_path / "c.json", cfg)
-
-    def lhs(*flags):
-        assert main(["extension-check", "--config", path, *flags]) == 0
-        rows = (tmp_path / "run" / "extension_check.csv").read_text().splitlines()
-        return float(rows[1].split(",")[2])
-
-    assert lhs("--seed", "7") != lhs()
-    with pytest.raises(SystemExit):
-        main(["groundstate", "--config", path, "--seed", "7"])
-    capsys.readouterr()
+    assert main(["extension-check", "--config", path]) == 0
+    for command in ("extension-check", "groundstate"):
+        with pytest.raises(SystemExit):
+            main([command, "--config", path, "--seed", "7"])
+    cfg["problem"]["s"] = 0.5
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main(["groundstate", "--config", path]) == 1
+    assert "'solver.seed' is not read by this command" in capsys.readouterr().err
 
 
 def test_cli_groundstate_report_omits_seed(tmp_path, capsys):
@@ -402,8 +452,8 @@ def test_cli_groundstate_report_omits_seed(tmp_path, capsys):
     path = write_json(tmp_path / "c.json", base_config(outdir))
     assert main(["groundstate", "--config", path]) == 0
     solver = json.loads((outdir / "trivial_report.json").read_text())["config"]["solver"]
-    assert "seed" not in solver
-    assert solver["tol"] == 1e-3 and solver["max_iters"] == 400
+    # nor the saddle bump scale R, which a groundstate never reads
+    assert solver == {"tol": 1e-3, "max_iters": 400}
     capsys.readouterr()
 
 
@@ -430,15 +480,19 @@ def test_cli_refuses_solver_keys_the_command_ignores(tmp_path, capsys, command, 
 
 
 # Each of these once exited 0: neither command resolves a group, and info
-# reads no solver key.
+# reads no solver key, no grid and no output directory.
 @pytest.mark.parametrize("command, section, value, message", [
     ("extension-check", "group", {"name": "B3"}, "'group.name'"),
     ("info", "group", {"name": "A1"}, "'group.name'"),
     ("info", "solver", {"tol": 1e-3}, "'solver.tol'"),
     ("info", "solver", {"seed": 4, "R": 0.2}, "'solver.seed'"),
+    ("info", "grid", {"M": 12, "L": 8.0}, "'grid.M'"),
+    ("info", "output", {"dir": "elsewhere"}, "'output.dir'"),
 ])
 def test_cli_refuses_sections_the_command_ignores(tmp_path, capsys, command, section, value, message):
     cfg = base_config(tmp_path / "run", solver={})
+    if command == "info":  # info reads the problem section alone
+        del cfg["grid"], cfg["output"]
     cfg[section] = value
     path = write_json(tmp_path / "c.json", cfg)
     assert main([command, "--config", path]) == 1
