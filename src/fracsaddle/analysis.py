@@ -2,12 +2,12 @@
 sign, and the energy comparison table for the saddle existence chain."""
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .coxeter import CoxeterGroup
-from .energy import _action, _evaluate_field, _force_hat, _gradient_hat, _residual
+from .energy import _action, _evaluate_field, _force_and_residual
 from .solver import SolverConfig, _index_table, initial_guess, solve
 from .spectral import Field
 
@@ -186,18 +186,18 @@ def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = No
     """Solve the symmetric minimization for `group` on base's grid/params.
 
     Results are memoized in `cache` (keyed by the group's lattice-conjugacy
-    class, CoxeterGroup.canonical_form on the grid's axes, and every config
-    field the solve reads: grid, params, tol, max_iters, R) so a table
-    run and its breakup candidates share solves; pass the same dict across
-    calls to reuse them.  A group conjugate to a solved one gets the solved
-    field moved by index (see _conjugate); a group with the same embedded
-    element set gets the cached object itself.
+    class, CoxeterGroup.canonical_form on the grid's axes, and every other
+    field of base, since each can change the answer) so a table run and its
+    breakup candidates share solves; pass the same dict across calls to
+    reuse them.  A group conjugate to a solved one gets the solved field
+    moved by index (see _conjugate); a group with the same embedded element
+    set gets the cached object itself.
     """
     if cache is None:
         cache = {}
     cfg = replace(base, group=group)
     form, sigma = group.canonical_form(cfg.grid.N_dims)
-    key = (form, cfg.grid, cfg.params, cfg.tol, cfg.max_iters, cfg.R)
+    key = (form, *(getattr(cfg, f.name) for f in fields(cfg) if f.name != "group"))
     if key not in cache:
         cache[key] = (solve(cfg, initial_guess(cfg)), sigma)
     sol, sigma0 = cache[key]
@@ -219,8 +219,7 @@ def _conjugate(sol, S: np.ndarray, cfg: SolverConfig):
     grid, params = cfg.grid, cfg.params
     u = Field(grid, sol.u.values.ravel()[_index_table(grid, S)].reshape(grid.shape))
     ev, mult = _evaluate_field(u, params)
-    ghat = _gradient_hat(ev, mult, _force_hat(u.values, ev, params.p))
-    residual = _residual(grid, ghat, ev.uhat)
+    residual = _force_and_residual(u.values, ev, grid, mult, params.p)[1]
     meta = dict(sol.metadata)
     meta["group"] = {"name": cfg.group.name, "order": cfg.group.order}
     meta["reused_from"] = {"group": sol.metadata["group"], "signed_permutation": S.tolist()}

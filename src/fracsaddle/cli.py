@@ -6,6 +6,7 @@ finished but did not meet its convergence or tolerance target.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,17 +20,7 @@ from .analysis import (
     sign_on_fundamental_domain,
 )
 from .extension import YGrid, default_y_max, energy_identity_check
-from .fieldio import (
-    ConfigError,
-    group_name_list,
-    load_config,
-    read_field,
-    resolve_group,
-    resolved_config_dict,
-    solution_report,
-    write_field,
-    write_report,
-)
+from .fieldio import ConfigError, load_config, read_field, write_field, write_report
 from .params import critical_exponent, extension_constant, riesz_constant
 from .solver import CollapseToZero, SolverConfig, initial_guess, solve
 
@@ -72,27 +63,46 @@ def _solver_config(cfg, group) -> SolverConfig:
     return SolverConfig(params=cfg["params"], grid=cfg["grid"], group=group, **cfg["solver"])
 
 
-def _run_and_write(cfg, sc: SolverConfig) -> int:
-    """Solve, measure the nodal domains and the tail once, and write both."""
+def _run_and_write(args) -> int:
+    """groundstate and saddle: solve in the config's group, measure the nodal
+    domains and the tail once, and write the field and the report of both."""
+    cfg = _prepare(args)
+    (group,) = cfg["groups"]
+    if args.command == "groundstate" and not group.is_trivial():
+        raise ConfigError("groundstate runs need the trivial group")
+    if args.command == "saddle" and group.is_trivial():
+        raise ConfigError("saddle runs need a nontrivial group")
+    sc = _solver_config(cfg, group)
     sol = solve(sc, initial_guess(sc))
-    group = sc.group
     nodal = nodal_domains(sol.u)
     slope = reason = None
     try:
         slope = decay_exponent(sol.u, 0.2, 0.4)
     except ValueError as exc:  # the window holds bump cores or too few shells
         reason = str(exc)
-    echo = resolved_config_dict(cfg["params"], cfg["grid"], group, cfg["solver"], cfg["output"])
-    report = solution_report(sol, nodal.count, slope, reason, echo)
+    grid, name = cfg["grid"], group.name or "custom"
+    report = {
+        "energy": sol.energy,
+        "residual": sol.residual,
+        "iterations": sol.iterations,
+        "nodal_count": nodal.count,
+        "decay_slope": slope,
+        "decay_slope_reason": reason,
+        "converged": sol.converged,
+        # the resolved config, defaults filled in, so the run can be repeated
+        "config": {
+            "problem": dataclasses.asdict(cfg["params"]),
+            "grid": {"M": grid.M, "L": grid.L},
+            "group": {"name": name, "order": group.order},
+            "solver": cfg["solver"],
+            "output": cfg["output"],
+        },
+        "metadata": sol.metadata,
+    }
     if not group.is_trivial():
-        report["nodal_report"] = {
-            "count": nodal.count,
-            "component_sizes": nodal.component_sizes,
-            "threshold": nodal.threshold,
-        }
+        report["nodal_report"] = dataclasses.asdict(nodal)
         report["constant_sign_on_chamber"] = sign_on_fundamental_domain(sol.u, group)
     outdir = Path(cfg["output"]["dir"])
-    name = group.name or "custom"
     write_field(outdir / f"{name}_solution.f64", sol.u, cfg["params"],
                 description=f"converged={sol.converged} energy={sol.energy:.8g}")
     write_report(outdir / f"{name}_report.json", report)
@@ -104,29 +114,9 @@ def _run_and_write(cfg, sc: SolverConfig) -> int:
     return 0 if sol.converged else 2
 
 
-def cmd_groundstate(args) -> int:
-    cfg = _prepare(args)
-    group = resolve_group(cfg["group_spec"])
-    if not group.is_trivial():
-        raise ConfigError("groundstate runs need the trivial group")
-    return _run_and_write(cfg, _solver_config(cfg, group))
-
-
-def cmd_saddle(args) -> int:
-    cfg = _prepare(args)
-    group = resolve_group(cfg["group_spec"])
-    if group.is_trivial():
-        raise ConfigError("saddle runs need a nontrivial group")
-    return _run_and_write(cfg, _solver_config(cfg, group))
-
-
 def cmd_table(args) -> int:
     cfg = _prepare(args)
-    names = group_name_list(cfg["group_spec"])
-    if not names:
-        raise ConfigError("table runs need a nonempty group name list")
-    configs = [_solver_config(cfg, resolve_group({"name": n})) for n in names]
-    table = energy_table(configs)
+    table = energy_table([_solver_config(cfg, group) for group in cfg["groups"]])
     outdir = Path(cfg["output"]["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     table.to_csv(outdir / "energy_table.csv")
@@ -184,8 +174,8 @@ def cmd_info(args) -> int:
 
 
 _COMMANDS = {
-    "groundstate": cmd_groundstate,
-    "saddle": cmd_saddle,
+    "groundstate": _run_and_write,
+    "saddle": _run_and_write,
     "table": cmd_table,
     "decay": cmd_decay,
     "extension-check": cmd_extension_check,

@@ -89,6 +89,14 @@ def _residual(grid: Grid, ghat: np.ndarray, uhat: np.ndarray) -> float:
     return float(np.sqrt(half_inner(grid, r, r) / uu))
 
 
+def _force_and_residual(values: np.ndarray, ev: _Evaluation, grid: Grid, mult: np.ndarray,
+                        p: float):
+    """The rfftn half of F and the ray-orthogonal residual of the field that
+    ev evaluates; mult is |xi|^{2s} on the half spectrum."""
+    fhat = _force_hat(values, ev, p)
+    return fhat, _residual(grid, _gradient_hat(ev, mult, fhat), ev.uhat)
+
+
 def _action(Q, D, p: float):
     """I(u) = Q/2 - D/(2p); Q and D may be arrays of ray samples."""
     return 0.5 * Q - D / (2.0 * p)

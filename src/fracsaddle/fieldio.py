@@ -3,6 +3,7 @@
 Fields travel as raw little-endian float64 in C order next to a JSON
 sidecar carrying the grid and problem metadata; configs and reports are
 JSON; tables are CSV.  Everything is diff-able and language-neutral.
+fieldio writes a run's report; cli decides what goes in it.
 """
 
 import json
@@ -13,6 +14,7 @@ import numpy as np
 
 from .coxeter import CoxeterGroup, named_group
 from .params import ModelParams, admissible
+from .solver import SolverConfig
 from .spectral import Field, Grid
 
 _SOLVE_KEYS = {
@@ -27,7 +29,7 @@ _SOLVE_KEYS = {
 _READS = {
     "groundstate": {**_SOLVE_KEYS, "solver": {"tol", "max_iters"}},
     "saddle": _SOLVE_KEYS,
-    "table": _SOLVE_KEYS,
+    "table": {**_SOLVE_KEYS, "group": {"name"}},
     "extension-check": {"problem": _SOLVE_KEYS["problem"], "grid": {"M", "L"},
                         "solver": {"seed"}, "output": {"dir"}},
     "info": {"problem": _SOLVE_KEYS["problem"]},
@@ -36,7 +38,10 @@ _READS = {
 _CONFIG_KEYS = {sec: set().union(*(r.get(sec, ()) for r in _READS.values()))
                 for sec in _SOLVE_KEYS}
 
-_SOLVER_DEFAULTS = {"tol": 1e-6, "max_iters": 2000, "seed": 0, "R": None}
+# The solver keys in the order a report echoes them, with SolverConfig's
+# defaults; extension-check's seed is no SolverConfig field.
+_SOLVER_DEFAULTS = {"tol": SolverConfig.tol, "max_iters": SolverConfig.max_iters,
+                    "R": SolverConfig.R, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -62,13 +67,14 @@ def load_config(path, command) -> dict:
     """Parse and validate a run configuration file for command.
 
     A key that command does not read (_READS) is refused.  Returns params,
-    s_values, and grid, group_spec, solver and output where command reads
-    them, defaulted only in the keys it reads; group resolution is deferred
-    to resolve_group so the table command can accept a list of names.  Only
-    extension-check may give 's' as a list (a sweep over the fractional
-    order); params then carries the first value and every listed value is
-    checked against the norm-side constraints only.  s_values holds the
-    validated values of 's' as floats, a single one when 's' is a number.
+    s_values, and grid, groups, solver and output where command reads them,
+    defaulted only in the keys it reads.  groups holds the resolved
+    CoxeterGroup of each name, or of the generators; only table may give
+    'group.name' as a list, a nonempty one.  Only extension-check may give
+    's' as a list (a sweep over the fractional order); params then carries
+    the first value and every listed value is checked against the norm-side
+    constraints only.  s_values holds the validated values of 's' as
+    floats, a single one when 's' is a number.
     """
     reads = _READS[command]
     with open(path) as fh:
@@ -133,11 +139,13 @@ def load_config(path, command) -> dict:
         M = _number("grid.M", gsec["M"], integer=True)
         cfg["grid"] = Grid(N, M, _number("grid.L", gsec["L"]))
     if "group" in reads:
-        group = cfg["group_spec"] = raw.get("group", {"name": "trivial"})
+        group = raw.get("group", {"name": "trivial"})
         if "name" in group and "generators" in group:
             raise ConfigError("'group' takes 'name' or 'generators', not both")
-        if not all(isinstance(n, str) for n in group_name_list(group)):
-            raise ConfigError(f"'group.name' must be a name or a list of names; got {group['name']!r}")
+        name = group.get("name", [])
+        names = name if isinstance(name, list) else [name]
+        if not all(isinstance(n, str) for n in names):
+            raise ConfigError(f"'group.name' must be a name or a list of names; got {name!r}")
         if "generators" in group:
             gens = group["generators"]
             if not (isinstance(gens, list) and all(
@@ -148,6 +156,14 @@ def load_config(path, command) -> dict:
             group["generators"] = [
                 [[_number("group.generators", v, integer=True) for v in r] for r in g] for g in gens
             ]
+        # only the table compares groups; resolve_group refuses a name list
+        specs = [{"name": n} for n in names] if command == "table" else [group]
+        if not specs:
+            raise ConfigError("table runs need a nonempty group name list")
+        try:
+            cfg["groups"] = [resolve_group(spec) for spec in specs]
+        except ValueError as exc:  # an unknown name, or generators that are no reflections
+            raise ConfigError(str(exc)) from exc
     if "solver" in reads:
         cfg["solver"] = {k: v for k, v in _SOLVER_DEFAULTS.items() if k in reads["solver"]}
         for k, v in raw.get("solver", {}).items():
@@ -168,28 +184,6 @@ def resolve_group(group_spec: dict) -> CoxeterGroup:
     if isinstance(name, list):
         raise ConfigError("this command needs a single group name, not a list")
     return named_group(name)
-
-
-def group_name_list(group_spec: dict):
-    name = group_spec.get("name", [])
-    return name if isinstance(name, list) else [name]
-
-
-def resolved_config_dict(params, grid, group, solver: dict, output: dict) -> dict:
-    """Full defaulted config echo so a solve is reproducible from its report."""
-    return {
-        "problem": {
-            "N": params.N,
-            "s": params.s,
-            "alpha": params.alpha,
-            "p": params.p,
-            "experimental": params.experimental,
-        },
-        "grid": {"M": grid.M, "L": grid.L},
-        "group": {"name": group.name or "custom", "order": group.order},
-        "solver": solver,
-        "output": output,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +263,3 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def solution_report(sol, nodal_count: int, decay_slope: float | None,
-                    decay_slope_reason: str | None, config_echo: dict) -> dict:
-    """The run report: sol's numbers, the diagnostics measured on sol.u, and
-    the config echo; decay_slope is None when no tail exponent can be fitted,
-    and decay_slope_reason then says why."""
-    return {
-        "energy": sol.energy,
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-        "nodal_count": nodal_count,
-        "decay_slope": decay_slope,
-        "decay_slope_reason": decay_slope_reason,
-        "converged": sol.converged,
-        "config": config_echo,
-        "metadata": sol.metadata,
-    }

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coxeter import CoxeterGroup, _embed
-from .energy import _action, _evaluate, _force_hat, _gradient_hat
-from .energy import _nehari_factor, _nehari_value, _residual
+from .energy import _action, _evaluate, _force_and_residual, _nehari_factor, _nehari_value
 # solve never calls energy(); perfbench/test_perfbench.py names this binding
 from .energy import energy as energy_of
 from .params import ModelParams, admissible
@@ -306,8 +305,7 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     iters = 0
     stalled = False
     for iters in range(1, config.max_iters + 1):
-        fhat = _force_hat(u, ev, p)
-        residual = _residual(grid, _gradient_hat(ev, mult, fhat), ev.uhat)
+        fhat, residual = _force_and_residual(u, ev, grid, mult, p)
         # the trial evaluations below set the peak memory, and u_hat and the
         # convolution are dead once the force is formed; Q and D stay, for
         # the energy of a converged or stalled solve
@@ -366,7 +364,7 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         u = tt * cand if cand is w else np.multiply(cand, tt, out=cand)
     else:
         # out of iterations after a step: report the residual of the returned u
-        residual = _residual(grid, _gradient_hat(ev, mult, _force_hat(u, ev, p)), ev.uhat)
+        residual = _force_and_residual(u, ev, grid, mult, p)[1]
 
     elapsed = time.perf_counter() - t_start
     meta = {

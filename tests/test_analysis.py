@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -185,6 +186,23 @@ def test_solve_level_cache_keys_on_max_iters():
     assert capped.iterations == 1 and not capped.converged
     assert full is not capped
     assert full.converged and full.iterations > 1
+    assert len(cache) == 2
+
+
+def test_solve_level_cache_keys_on_every_config_field():
+    # the key once listed grid, params, tol, max_iters and R by hand, so a
+    # solve setting added to SolverConfig got another setting's cached solve
+    @dataclass
+    class Tagged(SolverConfig):
+        tag: int = 0
+
+    g = Grid(3, 12, 8.0)
+    G = named_group("trivial")
+    base = Tagged(params=PARAMS, grid=g, group=G, tol=1e-4)
+    cache = {}
+    first = solve_level(G, base, cache)
+    assert solve_level(G, replace(base, tag=1), cache) is not first
+    assert solve_level(G, replace(base), cache) is first
     assert len(cache) == 2
 
 

@@ -47,7 +47,7 @@ def test_load_config_defaults(tmp_path):
     assert cfg["params"] == ModelParams(3, 0.5, 2.0, 2.0)
     assert cfg["grid"].M == 16
     assert cfg["solver"] == {"tol": 1e-6, "max_iters": 2000, "R": None}
-    assert cfg["group_spec"] == {"name": "trivial"}
+    assert [G.name for G in cfg["groups"]] == ["trivial"]
     assert cfg["output"]["dir"] == "out"
 
 
@@ -106,7 +106,7 @@ SOLVE_KEYS = {"problem.N", "problem.s", "problem.alpha", "problem.p", "problem.e
 READS = {
     "groundstate": SOLVE_KEYS - {"solver.R"},
     "saddle": SOLVE_KEYS,
-    "table": SOLVE_KEYS,
+    "table": SOLVE_KEYS - {"group.generators"},
     "extension-check": (SOLVE_KEYS | {"solver.seed"}) - {
         "group.name", "group.generators", "solver.tol", "solver.max_iters", "solver.R"},
     "info": {k for k in SOLVE_KEYS if k.startswith("problem.")},
@@ -123,7 +123,8 @@ KEY_VALUES = {
 @pytest.mark.parametrize("key", sorted(KEY_VALUES))
 @pytest.mark.parametrize("command", sorted(READS))
 def test_load_config_reads_exactly_the_command_keys(tmp_path, command, key):
-    # info once required a grid and accepted an output directory it never used
+    # info once required a grid and accepted an output directory it never used;
+    # table once loaded generators and then refused to run without a name list
     cfg = {"problem": {"N": 3, "s": 0.5, "alpha": 2.0, "p": 2.0}}
     if command != "info":
         cfg["grid"] = {"M": 12, "L": 8.0}
@@ -140,6 +141,30 @@ def test_load_config_reads_exactly_the_command_keys(tmp_path, command, key):
     assert set(out.get("solver", {})) == solver
     if section in ("solver", "output"):
         assert out[section][name] == KEY_VALUES[key]
+
+
+# Each of these once loaded, and the command or named_group refused the
+# group only after the load.
+@pytest.mark.parametrize("command, name, message", [
+    ("groundstate", ["trivial"], "needs a single group name, not a list"),
+    ("saddle", ["A1", "B2"], "needs a single group name, not a list"),
+    ("table", [], "table runs need a nonempty group name list"),
+    ("saddle", "C7", "unknown group name 'C7'"),
+    ("table", ["A1", "C7"], "unknown group name 'C7'"),
+])
+def test_load_config_refuses_group_names_the_command_cannot_run(tmp_path, command, name, message):
+    path = write_json(tmp_path / "c.json", base_config(tmp_path, group={"name": name}))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path, command)
+
+
+def test_load_config_resolves_groups(tmp_path):
+    cfg = base_config(tmp_path, group={"name": ["trivial", "A1", "B2"]})
+    groups = load_config(write_json(tmp_path / "c.json", cfg), "table")["groups"]
+    assert [(G.name, G.order) for G in groups] == [("trivial", 1), ("A1", 2), ("B2", 8)]
+    cfg["group"] = {"name": "B2"}
+    groups = load_config(write_json(tmp_path / "c.json", cfg), "table")["groups"]
+    assert [(G.name, G.order) for G in groups] == [("B2", 8)]
 
 
 def test_resolve_group_paths():
@@ -383,9 +408,9 @@ def test_cli_rejects_config_that_is_not_an_object(tmp_path, capsys, raw):
 
 def test_load_config_normalizes_generators(tmp_path):
     cfg = base_config(tmp_path, group={"generators": [[[-1.0, 0], [0, 1]]]})
-    spec = load_config(write_json(tmp_path / "c.json", cfg), "saddle")["group_spec"]
-    assert spec == {"generators": [[[-1, 0], [0, 1]]]}
-    assert resolve_group(spec).order == 2
+    (G,) = load_config(write_json(tmp_path / "c.json", cfg), "saddle")["groups"]
+    assert [g.tolist() for g in G.generators] == [[[-1, 0], [0, 1]]]
+    assert G.order == 2 and G.name is None
 
 
 def test_load_config_keeps_integral_floats(tmp_path):
