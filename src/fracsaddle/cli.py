@@ -20,9 +20,9 @@ from .analysis import (
     sign_on_fundamental_domain,
 )
 from .extension import YGrid, default_y_max, energy_identity_check
-from .fieldio import ConfigError, load_config, read_field, write_field, write_report
+from .fieldio import load_config, read_field, write_field, write_report
 from .params import critical_exponent, extension_constant, riesz_constant
-from .solver import CollapseToZero, SolverConfig, initial_guess, solve
+from .solver import CollapseToZero, initial_guess, solve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,20 +59,12 @@ def _prepare(args):
     return cfg
 
 
-def _solver_config(cfg, group) -> SolverConfig:
-    return SolverConfig(params=cfg["params"], grid=cfg["grid"], group=group, **cfg["solver"])
-
-
 def _run_and_write(args) -> int:
     """groundstate and saddle: solve in the config's group, measure the nodal
     domains and the tail once, and write the field and the report of both."""
     cfg = _prepare(args)
-    (group,) = cfg["groups"]
-    if args.command == "groundstate" and not group.is_trivial():
-        raise ConfigError("groundstate runs need the trivial group")
-    if args.command == "saddle" and group.is_trivial():
-        raise ConfigError("saddle runs need a nontrivial group")
-    sc = _solver_config(cfg, group)
+    (sc,) = cfg["configs"]
+    group = sc.group
     sol = solve(sc, initial_guess(sc))
     nodal = nodal_domains(sol.u)
     slope = reason = None
@@ -116,7 +108,7 @@ def _run_and_write(args) -> int:
 
 def cmd_table(args) -> int:
     cfg = _prepare(args)
-    table = energy_table([_solver_config(cfg, group) for group in cfg["groups"]])
+    table = energy_table(cfg["configs"])
     outdir = Path(cfg["output"]["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     table.to_csv(outdir / "energy_table.csv")
@@ -187,7 +179,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CollapseToZero as exc:

@@ -21,13 +21,13 @@ _SOLVE_KEYS = {
     "problem": {"N", "s", "alpha", "p", "experimental"},
     "grid": {"M", "L"},
     "group": {"name", "generators"},
-    "solver": {"tol", "max_iters", "R"},
+    "solver": {"tol", "max_iters"},
     "output": {"dir"},
 }
 # The keys each command reads, section by section.  A known key outside its
 # command's set is refused, and a section is required only where it is read.
 _READS = {
-    "groundstate": {**_SOLVE_KEYS, "solver": {"tol", "max_iters"}},
+    "groundstate": _SOLVE_KEYS,
     "saddle": _SOLVE_KEYS,
     "table": {**_SOLVE_KEYS, "group": {"name"}},
     "extension-check": {"problem": _SOLVE_KEYS["problem"], "grid": {"M", "L"},
@@ -40,8 +40,7 @@ _CONFIG_KEYS = {sec: set().union(*(r.get(sec, ()) for r in _READS.values()))
 
 # The solver keys in the order a report echoes them, with SolverConfig's
 # defaults; extension-check's seed is no SolverConfig field.
-_SOLVER_DEFAULTS = {"tol": SolverConfig.tol, "max_iters": SolverConfig.max_iters,
-                    "R": SolverConfig.R, "seed": 0}
+_SOLVER_DEFAULTS = {"tol": SolverConfig.tol, "max_iters": SolverConfig.max_iters, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -67,14 +66,18 @@ def load_config(path, command) -> dict:
     """Parse and validate a run configuration file for command.
 
     A key that command does not read (_READS) is refused.  Returns params,
-    s_values, and grid, groups, solver and output where command reads them,
-    defaulted only in the keys it reads.  groups holds the resolved
-    CoxeterGroup of each name, or of the generators; only table may give
-    'group.name' as a list, a nonempty one.  Only extension-check may give
-    's' as a list (a sweep over the fractional order); params then carries
-    the first value and every listed value is checked against the norm-side
-    constraints only.  s_values holds the validated values of 's' as
-    floats, a single one when 's' is a number.
+    s_values, and grid, solver and output where command reads them,
+    defaulted only in the keys it reads.  For groundstate, saddle and table,
+    configs holds the validated SolverConfig of each group, resolved from
+    each name or from the generators: groundstate needs the trivial group,
+    saddle a nontrivial one, and only table may give 'group.name' as a
+    list, a nonempty one.  Every refusal, a group acting on more axes than
+    the grid has and a tol or max_iters SolverConfig refuses included, is a
+    ConfigError.  Only extension-check may give 's' as a list (a sweep over
+    the fractional order); params then carries the first value and every
+    listed value is checked against the norm-side constraints only.
+    s_values holds the validated values of 's' as floats, a single one when
+    's' is a number.
     """
     reads = _READS[command]
     with open(path) as fh:
@@ -161,19 +164,27 @@ def load_config(path, command) -> dict:
         if not specs:
             raise ConfigError("table runs need a nonempty group name list")
         try:
-            cfg["groups"] = [resolve_group(spec) for spec in specs]
+            groups = [resolve_group(spec) for spec in specs]
         except ValueError as exc:  # an unknown name, or generators that are no reflections
             raise ConfigError(str(exc)) from exc
     if "solver" in reads:
         cfg["solver"] = {k: v for k, v in _SOLVER_DEFAULTS.items() if k in reads["solver"]}
         for k, v in raw.get("solver", {}).items():
-            if k != "R" or v is not None:
-                v = _number(f"solver.{k}", v, integer=k in ("max_iters", "seed"))
-            cfg["solver"][k] = v
+            cfg["solver"][k] = _number(f"solver.{k}", v, integer=k in ("max_iters", "seed"))
     if "output" in reads:
         cfg["output"] = {"dir": raw.get("output", {}).get("dir", "out")}
         if not isinstance(cfg["output"]["dir"], str):
             raise ConfigError(f"'output.dir' must be a string; got {cfg['output']['dir']!r}")
+    if "group" in reads:
+        if command == "groundstate" and not groups[0].is_trivial():
+            raise ConfigError("groundstate runs need the trivial group")
+        if command == "saddle" and groups[0].is_trivial():
+            raise ConfigError("saddle runs need a nontrivial group")
+        try:  # tol, max_iters, and a group acting on more axes than the grid has
+            cfg["configs"] = [SolverConfig(params=params, grid=cfg["grid"], group=G, **cfg["solver"])
+                              for G in groups]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return cfg
 
 

@@ -47,7 +47,6 @@ class SolverConfig:
     group: CoxeterGroup
     max_iters: int = 2000
     tol: float = 1e-6
-    R: float | None = None  # saddle bump scale; None picks initial_guess's default
 
     def __post_init__(self):
         if self.grid.N_dims != self.params.N:
@@ -196,8 +195,8 @@ def initial_guess(config: SolverConfig) -> Field:
     in the periodic box; the class projection then builds the signed orbit
     exactly, a bump of sign phi(g) at each g l_G R q.  The rank-1 case
     reduces to two opposite bumps at +-3R along the wall normal.  R is
-    config.R, or by default the largest comfortable bump scale: capped at
-    L/8 and kept clear of the wrap guard l_G R <= L/2 - 3R.
+    0.45 L / (l_G + 3), so the bumps stay clear of the wrap guard
+    l_G R <= L/2 - 3R; l_G >= 3, so R <= 0.075 L.
     """
     grid, G = config.grid, config.group
     if G.is_trivial():
@@ -206,16 +205,7 @@ def initial_guess(config: SolverConfig) -> Field:
     q = G.chamber().interior_point()
     q = q / np.linalg.norm(q)
     ell = separation_factor(G, q)
-    R = config.R
-    if R is None:
-        R = min(grid.L / 8.0, 0.9 * (grid.L / 2.0) / (ell + 3.0))
-    if not 0.0 < R < grid.L / 4.0:
-        raise ValueError(f"R must lie in (0, L/4); got {R}")
-    if ell * R > grid.L / 2.0 - 3.0 * R:
-        raise ValueError(
-            f"placement radius {ell * R:.3f} exceeds L/2 - 3R = "
-            f"{grid.L / 2.0 - 3.0 * R:.3f}; shrink R"
-        )
+    R = 0.45 * grid.L / (ell + 3.0)
     center = np.zeros(grid.N_dims)
     center[: G.rank] = ell * R * q
     L = grid.L

@@ -289,10 +289,8 @@ def _kernel_octant(grid: Grid, alpha: float) -> np.ndarray:
     (about 1e-17 relative) and is dropped.
     """
     N, M = grid.N_dims, grid.M
-    if not 0.0 < alpha < N:
-        raise ValueError(f"alpha must lie in (0, N)={N}; got {alpha}")
+    A = riesz_constant(N, alpha)  # refuses alpha outside (0, N)
     r2 = sum(np.meshgrid(*([(grid.h * np.arange(M + 1)) ** 2] * N), indexing="ij", sparse=True))
-    A = riesz_constant(N, alpha)
     with np.errstate(divide="ignore"):
         khat = A * r2 ** ((alpha - N) / 2.0)
     khat[(0,) * N] = A * origin_cell_average(N, alpha, grid.h)

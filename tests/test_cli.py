@@ -43,11 +43,13 @@ def test_load_config_defaults(tmp_path):
         "problem": {"N": 3, "s": 0.5, "alpha": 2.0, "p": 2.0},
         "grid": {"M": 16, "L": 10.0},
     })
-    cfg = load_config(path, "saddle")
+    cfg = load_config(path, "groundstate")
     assert cfg["params"] == ModelParams(3, 0.5, 2.0, 2.0)
     assert cfg["grid"].M == 16
-    assert cfg["solver"] == {"tol": 1e-6, "max_iters": 2000, "R": None}
-    assert [G.name for G in cfg["groups"]] == ["trivial"]
+    assert cfg["solver"] == {"tol": 1e-6, "max_iters": 2000}
+    (sc,) = cfg["configs"]
+    assert sc.group.name == "trivial"
+    assert (sc.params, sc.grid, sc.tol, sc.max_iters) == (cfg["params"], cfg["grid"], 1e-6, 2000)
     assert cfg["output"]["dir"] == "out"
 
 
@@ -102,22 +104,26 @@ def test_load_config_s_list_needs_flag(tmp_path):
 # The config keys each command reads; every other known key is refused.
 SOLVE_KEYS = {"problem.N", "problem.s", "problem.alpha", "problem.p", "problem.experimental",
               "grid.M", "grid.L", "group.name", "group.generators",
-              "solver.tol", "solver.max_iters", "solver.R", "output.dir"}
+              "solver.tol", "solver.max_iters", "output.dir"}
 READS = {
-    "groundstate": SOLVE_KEYS - {"solver.R"},
+    "groundstate": SOLVE_KEYS,
     "saddle": SOLVE_KEYS,
     "table": SOLVE_KEYS - {"group.generators"},
     "extension-check": (SOLVE_KEYS | {"solver.seed"}) - {
-        "group.name", "group.generators", "solver.tol", "solver.max_iters", "solver.R"},
+        "group.name", "group.generators", "solver.tol", "solver.max_iters"},
     "info": {k for k in SOLVE_KEYS if k.startswith("problem.")},
 }
-# A value that each known key loads with.
+# A value that each key loads with where it is read.  solver.R, the saddle
+# bump scale that every run left at its default, is read by no command.
 KEY_VALUES = {
     "problem.N": 3, "problem.s": 0.5, "problem.alpha": 2.0, "problem.p": 2.0,
     "problem.experimental": False, "grid.M": 12, "grid.L": 8.0, "group.name": "A1",
     "group.generators": [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]]], "solver.tol": 1e-3,
     "solver.max_iters": 400, "solver.seed": 5, "solver.R": 0.3, "output.dir": "run",
 }
+# A group section that each solve command runs with.
+RUNNABLE_GROUP = {"groundstate": {"name": "trivial"}, "saddle": {"name": "A1"},
+                  "table": {"name": ["trivial", "A1"]}}
 
 
 @pytest.mark.parametrize("key", sorted(KEY_VALUES))
@@ -129,10 +135,26 @@ def test_load_config_reads_exactly_the_command_keys(tmp_path, command, key):
     if command != "info":
         cfg["grid"] = {"M": 12, "L": 8.0}
     section, name = key.split(".")
-    cfg.setdefault(section, {})[name] = KEY_VALUES[key]
+    if section == "group":  # the key tried replaces the section
+        cfg["group"] = {}
+    elif command in RUNNABLE_GROUP:
+        cfg["group"] = RUNNABLE_GROUP[command]
+    value = KEY_VALUES[key]
+    if (command, key) == ("groundstate", "group.name"):
+        value = "trivial"
+    cfg.setdefault(section, {})[name] = value
     path = write_json(tmp_path / "c.json", cfg)
+    if key not in set().union(*READS.values()):
+        with pytest.raises(ConfigError, match=rf"^unknown key\(s\) in '{section}': \['{name}'\]$"):
+            load_config(path, command)
+        return
     if key not in READS[command]:
         with pytest.raises(ConfigError, match=f"^'{key}' is not read by this command; remove it$"):
+            load_config(path, command)
+        return
+    if (command, key) == ("groundstate", "group.generators"):
+        # no reflection generates the trivial group, the only one a groundstate runs
+        with pytest.raises(ConfigError, match="^groundstate runs need the trivial group$"):
             load_config(path, command)
         return
     out = load_config(path, command)
@@ -158,13 +180,30 @@ def test_load_config_refuses_group_names_the_command_cannot_run(tmp_path, comman
         load_config(path, command)
 
 
+# Each of these once loaded, and cli refused the run only when it built the
+# SolverConfig or checked the group's kind.
+@pytest.mark.parametrize("command, group, solver, message", [
+    ("saddle", {"generators": [[[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}, {},
+     "group acts on 4 coordinates but the grid has only 3"),
+    ("groundstate", {"name": "A1"}, {}, "groundstate runs need the trivial group"),
+    ("saddle", {"name": "trivial"}, {}, "saddle runs need a nontrivial group"),
+    ("table", {"name": ["trivial", "A1"]}, {"max_iters": 0}, "max_iters must be >= 1"),
+    ("saddle", {"name": "A1"}, {"tol": -1e-3}, "tol must be positive and finite"),
+])
+def test_load_config_refuses_runs_it_cannot_build(tmp_path, command, group, solver, message):
+    path = write_json(tmp_path / "c.json", base_config(tmp_path, group=group, solver=solver))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path, command)
+
+
 def test_load_config_resolves_groups(tmp_path):
     cfg = base_config(tmp_path, group={"name": ["trivial", "A1", "B2"]})
-    groups = load_config(write_json(tmp_path / "c.json", cfg), "table")["groups"]
-    assert [(G.name, G.order) for G in groups] == [("trivial", 1), ("A1", 2), ("B2", 8)]
+    configs = load_config(write_json(tmp_path / "c.json", cfg), "table")["configs"]
+    assert [(sc.group.name, sc.group.order) for sc in configs] == [("trivial", 1), ("A1", 2), ("B2", 8)]
+    assert {(sc.tol, sc.max_iters) for sc in configs} == {(1e-3, 400)}
     cfg["group"] = {"name": "B2"}
-    groups = load_config(write_json(tmp_path / "c.json", cfg), "table")["groups"]
-    assert [(G.name, G.order) for G in groups] == [("B2", 8)]
+    configs = load_config(write_json(tmp_path / "c.json", cfg), "table")["configs"]
+    assert [(sc.group.name, sc.group.order) for sc in configs] == [("B2", 8)]
 
 
 def test_resolve_group_paths():
@@ -338,22 +377,9 @@ def test_cli_table(tmp_path, capsys):
     assert len(rows) == 3
 
 
-def test_cli_table_honours_saddle_radius(tmp_path, capsys):
-    # R = L/3 is outside (0, L/4): table must refuse it exactly as saddle does
-    cfg = base_config(tmp_path / "run", group={"name": ["A1"]})
-    cfg["solver"]["R"] = cfg["grid"]["L"] / 3.0
-    path = write_json(tmp_path / "c.json", cfg)
-    assert main(["table", "--config", path]) == 1
-    assert "R must lie in" in capsys.readouterr().err
-    cfg["group"] = {"name": "A1"}
-    path = write_json(tmp_path / "s.json", cfg)
-    assert main(["saddle", "--config", path]) == 1
-    assert "R must lie in" in capsys.readouterr().err
-
-
 # Each of these was once coerced and run: tol true as 1.0 (a 2-iteration
 # "converged" saddle with 22 nodal domains), max_iters 2.7 as 2, M 16.9 as 16;
-# R "3" escaped as a TypeError traceback.  JSON Infinity and NaN load as
+# a string R "3" escaped as a TypeError traceback.  JSON Infinity and NaN load as
 # floats: with tol Infinity a solve reported its initial guess as converged
 # after one iteration, L NaN or Infinity ran to energy=nan, and tol NaN never
 # converged.
@@ -361,7 +387,7 @@ def test_cli_table_honours_saddle_radius(tmp_path, capsys):
     ("solver", "tol", True),
     ("solver", "max_iters", 2.7),
     ("grid", "M", 16.9),
-    ("solver", "R", "3"),
+    ("solver", "max_iters", "3"),
     ("problem", "p", "2"),
     ("problem", "N", 3.5),
     ("grid", "L", False),
@@ -408,18 +434,20 @@ def test_cli_rejects_config_that_is_not_an_object(tmp_path, capsys, raw):
 
 def test_load_config_normalizes_generators(tmp_path):
     cfg = base_config(tmp_path, group={"generators": [[[-1.0, 0], [0, 1]]]})
-    (G,) = load_config(write_json(tmp_path / "c.json", cfg), "saddle")["groups"]
+    (sc,) = load_config(write_json(tmp_path / "c.json", cfg), "saddle")["configs"]
+    G = sc.group
     assert [g.tolist() for g in G.generators] == [[[-1, 0], [0, 1]]]
     assert G.order == 2 and G.name is None
 
 
 def test_load_config_keeps_integral_floats(tmp_path):
-    cfg = base_config(tmp_path)
+    cfg = base_config(tmp_path, group={"name": "A1"})
     cfg["grid"]["M"] = 12.0
     cfg["solver"]["max_iters"] = 400.0
     out = load_config(write_json(tmp_path / "c.json", cfg), "saddle")
     assert out["grid"].M == 12
-    assert out["solver"]["max_iters"] == 400 and isinstance(out["solver"]["max_iters"], int)
+    (sc,) = out["configs"]
+    assert sc.max_iters == 400 and isinstance(sc.max_iters, int)
 
 
 def test_cli_error_exits(tmp_path, capsys):
@@ -440,10 +468,25 @@ def test_cli_error_exits(tmp_path, capsys):
     cfg = base_config(tmp_path, group={"name": "A1"})
     path = write_json(tmp_path / "g.json", cfg)
     assert main(["groundstate", "--config", path]) == 1
+    assert "error: groundstate runs need the trivial group" in capsys.readouterr().err
     cfg = base_config(tmp_path)
     path = write_json(tmp_path / "t.json", cfg)
     assert main(["saddle", "--config", path]) == 1
-    capsys.readouterr()
+    assert "error: saddle runs need a nontrivial group" in capsys.readouterr().err
+
+
+# Each of these once ended in an OSError traceback.
+def test_cli_reports_a_config_directory(tmp_path, capsys):
+    assert main(["groundstate", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_reports_an_output_directory_under_a_file(tmp_path, capsys):
+    # raised only once the whole solve has run
+    path = write_json(tmp_path / "c.json", base_config(tmp_path / "run"))
+    (tmp_path / "file").write_text("")
+    assert main(["groundstate", "--config", path, "--out", str(tmp_path / "file" / "run")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_out_override(tmp_path):
@@ -477,28 +520,27 @@ def test_cli_groundstate_report_omits_seed(tmp_path, capsys):
     path = write_json(tmp_path / "c.json", base_config(outdir))
     assert main(["groundstate", "--config", path]) == 0
     solver = json.loads((outdir / "trivial_report.json").read_text())["config"]["solver"]
-    # nor the saddle bump scale R, which a groundstate never reads
     assert solver == {"tol": 1e-3, "max_iters": 400}
     capsys.readouterr()
 
 
-# Each of these once exited 0: groundstate echoed an R it never used, the
-# solve commands dropped the seed that only extension-check reads, and
-# extension-check ignored the solver's tol, max_iters and R.
+# Each of these once exited 0: the solve commands dropped the seed that only
+# extension-check reads, and extension-check ignored the solver's tol and
+# max_iters.  The refused key is named also after a key the command reads.
 @pytest.mark.parametrize("command, group, solver", [
-    ("groundstate", "trivial", {"R": 0.3}),
+    ("groundstate", "trivial", {"tol": 1e-3, "seed": 5}),
     ("groundstate", "trivial", {"seed": 5}),
-    ("saddle", "A1", {"R": 0.3, "seed": 5}),
+    ("saddle", "A1", {"max_iters": 400, "seed": 5}),
     ("table", ["trivial", "A1"], {"seed": 5}),
     ("extension-check", "trivial", {"tol": 1e-3}),
     ("extension-check", "trivial", {"max_iters": 400}),
-    ("extension-check", "trivial", {"seed": 5, "R": 0.3}),
+    ("extension-check", "trivial", {"seed": 5, "tol": 1e-3}),
 ])
 def test_cli_refuses_solver_keys_the_command_ignores(tmp_path, capsys, command, group, solver):
     cfg = base_config(tmp_path / "run", group={"name": group}, solver=solver)
     path = write_json(tmp_path / "c.json", cfg)
     assert main([command, "--config", path]) == 1
-    refused = {"groundstate": ("R", "seed"), "extension-check": ("tol", "max_iters", "R")}
+    refused = {"extension-check": ("tol", "max_iters")}
     key = next(k for k in solver if k in refused.get(command, ("seed",)))
     assert f"error: 'solver.{key}' is not read by this command" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
@@ -510,7 +552,7 @@ def test_cli_refuses_solver_keys_the_command_ignores(tmp_path, capsys, command, 
     ("extension-check", "group", {"name": "B3"}, "'group.name'"),
     ("info", "group", {"name": "A1"}, "'group.name'"),
     ("info", "solver", {"tol": 1e-3}, "'solver.tol'"),
-    ("info", "solver", {"seed": 4, "R": 0.2}, "'solver.seed'"),
+    ("info", "solver", {"seed": 4, "max_iters": 10}, "'solver.seed'"),
     ("info", "grid", {"M": 12, "L": 8.0}, "'grid.M'"),
     ("info", "output", {"dir": "elsewhere"}, "'output.dir'"),
 ])

@@ -172,24 +172,23 @@ def test_separation_factors():
 
 
 def test_default_radius_respects_guard():
-    # R = None picks min(L/8, 0.9 (L/2) / (l_G + 3)), clear of l_G R <= L/2 - 3R
+    # R = 0.45 L / (l_G + 3) keeps the orbit clear of l_G R <= L/2 - 3R, and
+    # l_G >= 3 keeps R at or below 0.075 L, under the L/8 cap it once had
     g = Grid(3, 16, 8.0)
     for name in GROUPS:
         G = named_group(name)
         ell = separation_factor(G, chamber_direction(G))
-        R = min(g.L / 8.0, 0.9 * (g.L / 2.0) / (ell + 3.0))
-        assert 0.0 < R <= g.L / 8.0
+        R = 0.45 * g.L / (ell + 3.0)
+        assert ell >= 3.0
+        assert 0.0 < R <= 0.075 * g.L + 1e-12
         assert ell * R <= g.L / 2.0 - 3.0 * R + 1e-12
-        default = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))
-        explicit = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G, R=R))
-        assert np.array_equal(default.values, explicit.values)
 
 
 def test_init_saddle_rank1_geometry():
     g = Grid(3, 16, 12.0)
     G = named_group("A1")
-    R = 1.0
-    u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G, R=R))
+    R = 0.075 * g.L  # l_G = 3 for one mirror
+    u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))
     vals = u.values
     # odd in x1, wall plane exactly zero
     action = get_action(g, G)
@@ -216,25 +215,14 @@ def test_init_saddle_symmetry_all_groups(name):
     assert np.abs(u.values).max() > 0.0
 
 
-def test_init_saddle_validation():
-    g = Grid(3, 16, 12.0)
-    G = named_group("A1")
-    with pytest.raises(ValueError, match=r"R must lie in \(0, L/4\)"):
-        initial_guess(SolverConfig(params=PARAMS, grid=g, group=G, R=-0.5))
-    with pytest.raises(ValueError, match=r"R must lie in \(0, L/4\)"):
-        initial_guess(SolverConfig(params=PARAMS, grid=g, group=G, R=g.L / 3.0))  # over the L/4 cap
-    with pytest.raises(ValueError, match="shrink R"):
-        # passes the cap, trips the wrap guard
-        initial_guess(SolverConfig(params=PARAMS, grid=g, group=G, R=g.L / 5.0))
-
-
 def test_init_saddle_collapses_below_grid_scale():
-    # bumps of width R/2 = 0.025 fall between nodes h = 0.625 apart, and the
-    # node at their midpoint is on the wall: the odd class keeps nothing
+    # a bump of width 0.025 at the origin, far below the node spacing h = 0.625,
+    # is on the grid one value at the origin node, which is on the wall: the
+    # start is even in x1, and the odd class keeps nothing
     g = Grid(3, 16, 10.0)
-    cfg = SolverConfig(params=PARAMS, grid=g, group=named_group("A1"), R=0.05)
+    cfg = SolverConfig(params=PARAMS, grid=g, group=named_group("A1"))
     with pytest.raises(CollapseToZero, match="initial field symmetrized to zero"):
-        start(cfg)
+        solve(cfg, Field(g, np.exp(-g.radius() ** 2 / 0.025**2)))
 
 
 def test_solver_config_validation():
