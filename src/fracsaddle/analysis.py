@@ -8,7 +8,7 @@ import numpy as np
 
 from .coxeter import CoxeterGroup
 from .energy import _action, _evaluate_field, _force_and_residual
-from .solver import SolverConfig, _index_table, initial_guess, solve
+from .solver import SolverConfig, _index_table, _start, solve
 from .spectral import Field
 
 # Nodes with |u| at or below this fraction of max |u| count as the nodal set.
@@ -191,7 +191,9 @@ def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = No
     breakup candidates share solves; pass the same dict across calls to
     reuse them.  A group conjugate to a solved one gets the solved field
     moved by index (see _conjugate); a group with the same embedded element
-    set gets the cached object itself.
+    set gets the cached object itself.  A nontrivial group starts from the
+    trivial level on the same key fields (see initial_guess), so no result
+    depends on the order of the calls; metadata["start"] records the start.
     """
     if cache is None:
         cache = {}
@@ -199,7 +201,12 @@ def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = No
     form, sigma = group.canonical_form(cfg.grid.N_dims)
     key = (form, *(getattr(cfg, f.name) for f in fields(cfg) if f.name != "group"))
     if key not in cache:
-        cache[key] = (solve(cfg, initial_guess(cfg)), sigma)
+        trivial = CoxeterGroup.trivial(group.rank)
+        u0 = None if group.is_trivial() else solve_level(trivial, base, cache).u
+        start, init = _start(cfg, u0)
+        sol = solve(cfg, init)
+        sol.metadata["start"] = start
+        cache[key] = (sol, sigma)
     sol, sigma0 = cache[key]
     S = sigma0.T @ sigma
     if np.array_equal(S, np.eye(len(S), dtype=S.dtype)):

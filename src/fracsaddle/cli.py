@@ -19,10 +19,11 @@ from .analysis import (
     nodal_domains,
     sign_on_fundamental_domain,
 )
+from .coxeter import CoxeterGroup
 from .extension import YGrid, default_y_max, energy_identity_check
 from .fieldio import load_config, read_field, write_field, write_report
 from .params import critical_exponent, extension_constant, riesz_constant
-from .solver import CollapseToZero, initial_guess, solve
+from .solver import CollapseToZero, _start, initial_guess, solve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +66,11 @@ def _run_and_write(args) -> int:
     cfg = _prepare(args)
     (sc,) = cfg["configs"]
     group = sc.group
-    sol = solve(sc, initial_guess(sc))
+    gs = dataclasses.replace(sc, group=CoxeterGroup.trivial(group.rank))
+    u0 = None if group.is_trivial() else solve(gs, initial_guess(gs)).u  # a saddle's seed
+    start, init = _start(sc, u0)
+    sol = solve(sc, init)
+    sol.metadata["start"] = start
     nodal = nodal_domains(sol.u)
     slope = reason = None
     try:

@@ -26,8 +26,9 @@ _SOLVE_KEYS = {
 }
 # The keys each command reads, section by section.  A known key outside its
 # command's set is refused, and a section is required only where it is read.
+# No reflection generates the trivial group, so groundstate reads only a name.
 _READS = {
-    "groundstate": _SOLVE_KEYS,
+    "groundstate": {**_SOLVE_KEYS, "group": {"name"}},
     "saddle": _SOLVE_KEYS,
     "table": {**_SOLVE_KEYS, "group": {"name"}},
     "extension-check": {"problem": _SOLVE_KEYS["problem"], "grid": {"M", "L"},

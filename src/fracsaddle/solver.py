@@ -20,6 +20,7 @@ import numpy as np
 
 from .coxeter import CoxeterGroup, _embed
 from .energy import _action, _evaluate, _force_and_residual, _nehari_factor, _nehari_value
+from .energy import nehari_energy
 # solve never calls energy(); perfbench/test_perfbench.py names this binding
 from .energy import energy as energy_of
 from .params import ModelParams, admissible
@@ -186,7 +187,7 @@ def separation_factor(G: CoxeterGroup, q: np.ndarray) -> float:
     return 6.0 / m
 
 
-def initial_guess(config: SolverConfig) -> Field:
+def initial_guess(config: SolverConfig, groundstate: Field | None = None) -> Field:
     """The start of a solve in config's class; solve projects and scales it.
 
     The trivial class starts from a centered Gaussian of width L/8.  Any
@@ -197,20 +198,47 @@ def initial_guess(config: SolverConfig) -> Field:
     reduces to two opposite bumps at +-3R along the wall normal.  R is
     0.45 L / (l_G + 3), so the bumps stay clear of the wrap guard
     l_G R <= L/2 - 3R; l_G >= 3, so R <= 0.075 L.
+
+    Given the solved groundstate u0, the start is whichever has the least
+    Nehari energy: the Gaussian start, or u0 rolled by the whole nodes
+    rint(k q) and projected (signed groundstate bumps, moved exactly) for
+    k = 1, 2, ... until a shift's energy rises.  A shift that projects to
+    zero is skipped; each candidate costs one evaluation.
     """
+    return _start(config, groundstate)[1]
+
+
+def _start(config: SolverConfig, groundstate: Field | None = None):
+    """initial_guess as (start, field); start is the shift taken or "gaussian"."""
     grid, G = config.grid, config.group
     if G.is_trivial():
         sigma = grid.L / 8.0
-        return Field(grid, np.exp(-grid.radius() ** 2 / sigma**2))
+        return "gaussian", Field(grid, np.exp(-grid.radius() ** 2 / sigma**2))
     q = G.chamber().interior_point()
     q = q / np.linalg.norm(q)
     ell = separation_factor(G, q)
     R = 0.45 * grid.L / (ell + 3.0)
-    center = np.zeros(grid.N_dims)
-    center[: G.rank] = ell * R * q
+    direction = np.zeros(grid.N_dims)
+    direction[: G.rank] = q
+    center = ell * R * direction
     L = grid.L
     offsets = (np.mod(x - c + L / 2.0, L) - L / 2.0 for x, c in zip(grid.coords(), center))
-    return symmetrize(Field(grid, np.exp(-sum(d**2 for d in offsets) / (R / 2.0) ** 2)), G)
+    best = symmetrize(Field(grid, np.exp(-sum(d**2 for d in offsets) / (R / 2.0) ** 2)), G)
+    if groundstate is None:
+        return "gaussian", best
+    start, E_best, E_shift = "gaussian", nehari_energy(best, config.params), np.inf
+    shifts = np.rint(np.arange(1, grid.M // 2)[:, None] * direction).astype(np.int64).tolist()
+    for shift in dict.fromkeys(map(tuple, shifts)):  # distinct, in order
+        cand = symmetrize(Field(grid, np.roll(groundstate.values, shift, range(grid.N_dims))), G)
+        if np.sqrt(grid.cellvol * np.sum(cand.values**2)) < _ZERO_TOL:
+            continue
+        E = nehari_energy(cand, config.params)
+        if E > E_shift:
+            break
+        E_shift = E
+        if E < E_best:
+            start, best, E_best = list(shift), cand, E
+    return start, best
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,35 @@ def test_energy_table_solves_each_conjugacy_class_once(table24):
     assert all(r.verified for r in table.rows)
 
 
+def test_energy_table_starts_from_the_groundstate(table24):
+    # 162 iterations from the Gaussian starts (13/35/28/34/52); 104 from the
+    # groundstate moved by whole nodes (13/19/22/35/15)
+    _, cache, _, _ = table24
+    starts = {sol.metadata["group"]["name"]: sol.metadata["start"] for sol, _ in cache.values()}
+    assert starts["trivial"] == "gaussian"
+    assert starts["A1"] == [2, 0, 0] and starts["A1xA1"] == [2, 2, 0]
+    assert sum(sol.iterations for sol, _ in cache.values()) <= 125
+
+
+def test_solve_level_start_does_not_depend_on_call_order():
+    g = Grid(3, 16, 12.0)
+    base = SolverConfig(params=PARAMS, grid=g, group=named_group("trivial"), tol=1e-5)
+    cold = solve_level(named_group("A1"), base, {})
+    warm = {}
+    solve_level(named_group("trivial"), base, warm)
+    after = solve_level(named_group("A1"), base, warm)
+    assert cold.metadata["start"] == after.metadata["start"] != "gaussian"
+    assert np.array_equal(cold.u.values, after.u.values)
+    assert cold.energy == after.energy and cold.iterations == after.iterations
+
+
+def test_saddle_a1_48_starts_from_the_groundstate(saddle_a1_48):
+    # 107 iterations and 74 rejected mixes from the Gaussian start
+    assert saddle_a1_48.converged
+    assert saddle_a1_48.metadata["start"] == [4, 0, 0]
+    assert saddle_a1_48.iterations <= 25
+
+
 # Each mirror is conjugate to a cached class by a signed permutation S; the
 # x3 mirror needs a 3-cycle, where S and S^T differ, so swapping them would
 # put the reused field outside its class.  The anti-diagonal mirror needs a

@@ -106,7 +106,7 @@ SOLVE_KEYS = {"problem.N", "problem.s", "problem.alpha", "problem.p", "problem.e
               "grid.M", "grid.L", "group.name", "group.generators",
               "solver.tol", "solver.max_iters", "output.dir"}
 READS = {
-    "groundstate": SOLVE_KEYS,
+    "groundstate": SOLVE_KEYS - {"group.generators"},
     "saddle": SOLVE_KEYS,
     "table": SOLVE_KEYS - {"group.generators"},
     "extension-check": (SOLVE_KEYS | {"solver.seed"}) - {
@@ -150,11 +150,6 @@ def test_load_config_reads_exactly_the_command_keys(tmp_path, command, key):
         return
     if key not in READS[command]:
         with pytest.raises(ConfigError, match=f"^'{key}' is not read by this command; remove it$"):
-            load_config(path, command)
-        return
-    if (command, key) == ("groundstate", "group.generators"):
-        # no reflection generates the trivial group, the only one a groundstate runs
-        with pytest.raises(ConfigError, match="^groundstate runs need the trivial group$"):
             load_config(path, command)
         return
     out = load_config(path, command)
@@ -295,6 +290,7 @@ def test_cli_groundstate_run(tmp_path, capsys):
     assert len(meta["trace"]["residual"]) == report["iterations"]
     assert meta["trace"]["step"][-1] is None
     assert meta["evaluations"] >= report["iterations"]
+    assert meta["start"] == "gaussian"
     field, _ = read_field(outdir / "trivial_solution.f64")
     assert field.grid.M == 12
     assert "converged=True" in capsys.readouterr().out
@@ -321,6 +317,9 @@ def test_cli_saddle_run(tmp_path, monkeypatch, capsys):
     assert list(report) == ["energy", "residual", "iterations", "nodal_count", "decay_slope",
                             "decay_slope_reason", "converged", "config", "metadata",
                             "nodal_report", "constant_sign_on_chamber"]
+    # the saddle starts from the groundstate moved by whole nodes along x1
+    shift = report["metadata"]["start"]
+    assert shift[0] > 0 and shift[1:] == [0, 0]
     assert report["nodal_count"] == report["nodal_report"]["count"] == 2
     # at M = 16 the fit window [0.2 L, 0.4 L] holds only 3 shells
     assert report["decay_slope"] is None

@@ -225,6 +225,60 @@ def test_init_saddle_collapses_below_grid_scale():
         solve(cfg, Field(g, np.exp(-g.radius() ** 2 / 0.025**2)))
 
 
+@pytest.mark.parametrize("name", ["trivial", *GROUPS])
+def test_initial_guess_without_groundstate_is_the_gaussian_start(name):
+    # the start documented before the groundstate seed existed, rebuilt here
+    g = Grid(3, 16, 12.0)
+    G = named_group(name)
+    cfg = SolverConfig(params=PARAMS, grid=g, group=G)
+    if G.is_trivial():
+        want = np.exp(-g.radius() ** 2 / (g.L / 8.0) ** 2)
+    else:
+        q = chamber_direction(G)
+        ell = separation_factor(G, q)
+        R = 0.45 * g.L / (ell + 3.0)
+        c = np.zeros(3)
+        c[: G.rank] = ell * R * q
+        d2 = sum((np.mod(x - ci + g.L / 2.0, g.L) - g.L / 2.0) ** 2 for x, ci in zip(g.coords(), c))
+        want = symmetrize(Field(g, np.exp(-d2 / (R / 2.0) ** 2)), G).values
+    assert np.array_equal(initial_guess(cfg).values, want)
+    assert solver._start(cfg)[0] == "gaussian"
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_initial_guess_from_groundstate(name, solves24):
+    # a signed orbit of groundstate bumps, moved by whole nodes: bitwise in
+    # its class and never above the Gaussian start in Nehari energy
+    u0 = solves24("trivial").u
+    G = named_group(name)
+    cfg = SolverConfig(params=PARAMS, grid=u0.grid, group=G)
+    shift, u = solver._start(cfg, u0)
+    assert np.array_equal(symmetrize(u, G).values, u.values)
+    assert nehari_energy(u, PARAMS) <= nehari_energy(initial_guess(cfg), PARAMS)
+    assert np.array_equal(initial_guess(cfg, u0).values, u.values)
+    # the groundstate beats the Gaussian for every class here
+    assert shift != "gaussian"
+    rolled = np.roll(u0.values, shift, range(3))
+    assert np.array_equal(symmetrize(Field(u0.grid, rolled), G).values, u.values)
+
+
+def test_initial_guess_skips_shifts_on_walls(solves24):
+    # B3's chamber direction rounds to the nodes (1,1,0), (2,1,1) and (2,2,1)
+    # first, each on a wall of the chamber, where the class keeps nothing
+    u0 = solves24("trivial").u
+    G = named_group("B3")
+    cfg = SolverConfig(params=PARAMS, grid=u0.grid, group=G)
+    q = chamber_direction(G)
+    for k in (1, 2, 3):
+        shift = np.rint(k * q).astype(int)
+        with pytest.raises(CollapseToZero):
+            solve(cfg, Field(u0.grid, np.roll(u0.values, shift, range(3))))
+    shift, u = solver._start(cfg, u0)
+    assert shift != "gaussian" and np.abs(u.values).max() > 0.0
+    sol = solve(cfg, u)
+    assert sol.converged and sol.iterations <= 40  # 29 from the Gaussian start, 27 from here
+
+
 def test_solver_config_validation():
     g = Grid(3, 8, 4.0)
     G = named_group("trivial")
