@@ -31,7 +31,7 @@ from .coxeter import (
 )
 from .energy import EnergyBreakdown, energy, gradient, interaction, nehari_energy
 from .extension import YGrid, energy_identity_check, psi_profile
-from .fieldio import ConfigError, load_config, read_field, resolve_group, write_field, write_report
+from .fieldio import ConfigError, load_config, read_field, write_field, write_report
 from .params import ModelParams, admissible, critical_exponent, extension_constant, riesz_constant
 from .solver import (
     CollapseToZero,
@@ -85,7 +85,6 @@ __all__ = [
     "nodal_domains",
     "psi_profile",
     "read_field",
-    "resolve_group",
     "riesz_constant",
     "riesz_convolve",
     "seminorm_sq",

@@ -8,7 +8,7 @@ import numpy as np
 
 from .coxeter import CoxeterGroup
 from .energy import _action, _evaluate_field, _force_and_residual
-from .solver import SolverConfig, _index_table, _start, solve
+from .solver import SolverConfig, _index_table, initial_guess, solve
 from .spectral import Field
 
 # Nodes with |u| at or below this fraction of max |u| count as the nodal set.
@@ -185,6 +185,7 @@ def _breakup_levels(G: CoxeterGroup):
 def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = None):
     """Solve the symmetric minimization for `group` on base's grid/params.
 
+    The groundstate and saddle commands and energy_table solve here.
     Results are memoized in `cache` (keyed by the group's lattice-conjugacy
     class, CoxeterGroup.canonical_form on the grid's axes, and every other
     field of base, since each can change the answer) so a table run and its
@@ -203,7 +204,7 @@ def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = No
     if key not in cache:
         trivial = CoxeterGroup.trivial(group.rank)
         u0 = None if group.is_trivial() else solve_level(trivial, base, cache).u
-        start, init = _start(cfg, u0)
+        start, init = initial_guess(cfg, u0)
         sol = solve(cfg, init)
         sol.metadata["start"] = start
         cache[key] = (sol, sigma)

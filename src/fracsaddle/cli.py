@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: groundstate, saddle, table, decay, extension-check, info.
+groundstate and saddle solve the config's class through
+analysis.solve_level, as table does for each of its groups.
 Exit codes: 0 success, 1 configuration or validation error, 2 a run that
 finished but did not meet its convergence or tolerance target.
 """
@@ -18,12 +20,14 @@ from .analysis import (
     energy_table,
     nodal_domains,
     sign_on_fundamental_domain,
+    solve_level,
 )
-from .coxeter import CoxeterGroup
 from .extension import YGrid, default_y_max, energy_identity_check
 from .fieldio import load_config, read_field, write_field, write_report
 from .params import critical_exponent, extension_constant, riesz_constant
-from .solver import CollapseToZero, _start, initial_guess, solve
+from .solver import CollapseToZero
+# cli never calls solve; perfbench/test_perfbench.py names this binding
+from .solver import solve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,16 +65,13 @@ def _prepare(args):
 
 
 def _run_and_write(args) -> int:
-    """groundstate and saddle: solve in the config's group, measure the nodal
-    domains and the tail once, and write the field and the report of both."""
+    """groundstate and saddle: solve the config's class with solve_level,
+    measure the nodal domains and the tail once, and write the field and the
+    report of both."""
     cfg = _prepare(args)
     (sc,) = cfg["configs"]
     group = sc.group
-    gs = dataclasses.replace(sc, group=CoxeterGroup.trivial(group.rank))
-    u0 = None if group.is_trivial() else solve(gs, initial_guess(gs)).u  # a saddle's seed
-    start, init = _start(sc, u0)
-    sol = solve(sc, init)
-    sol.metadata["start"] = start
+    sol = solve_level(group, sc)
     nodal = nodal_domains(sol.u)
     slope = reason = None
     try:

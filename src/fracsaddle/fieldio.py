@@ -70,15 +70,15 @@ def load_config(path, command) -> dict:
     s_values, and grid, solver and output where command reads them,
     defaulted only in the keys it reads.  For groundstate, saddle and table,
     configs holds the validated SolverConfig of each group, resolved from
-    each name or from the generators: groundstate needs the trivial group,
-    saddle a nontrivial one, and only table may give 'group.name' as a
-    list, a nonempty one.  Every refusal, a group acting on more axes than
-    the grid has and a tol or max_iters SolverConfig refuses included, is a
-    ConfigError.  Only extension-check may give 's' as a list (a sweep over
-    the fractional order); params then carries the first value and every
-    listed value is checked against the norm-side constraints only.
-    s_values holds the validated values of 's' as floats, a single one when
-    's' is a number.
+    each name or from the generators, "trivial" when neither is given:
+    groundstate needs the trivial group, saddle a nontrivial one, and only
+    table may give 'group.name' as a list, a nonempty one.  Every refusal,
+    a group acting on more axes than the grid has and a tol or max_iters
+    SolverConfig refuses included, is a ConfigError.  Only extension-check
+    may give 's' as a list (a sweep over the fractional order); params then
+    carries the first value and every listed value is checked against the
+    norm-side constraints only.  s_values holds the validated values of 's'
+    as floats, a single one when 's' is a number.
     """
     reads = _READS[command]
     with open(path) as fh:
@@ -143,13 +143,17 @@ def load_config(path, command) -> dict:
         M = _number("grid.M", gsec["M"], integer=True)
         cfg["grid"] = Grid(N, M, _number("grid.L", gsec["L"]))
     if "group" in reads:
-        group = raw.get("group", {"name": "trivial"})
+        group = raw.get("group", {})
         if "name" in group and "generators" in group:
             raise ConfigError("'group' takes 'name' or 'generators', not both")
-        name = group.get("name", [])
+        name = group.get("name", "trivial")
         names = name if isinstance(name, list) else [name]
         if not all(isinstance(n, str) for n in names):
             raise ConfigError(f"'group.name' must be a name or a list of names; got {name!r}")
+        if isinstance(name, list) and command != "table":  # only the table compares groups
+            raise ConfigError("this command needs a single group name, not a list")
+        if not names:
+            raise ConfigError("table runs need a nonempty group name list")
         if "generators" in group:
             gens = group["generators"]
             if not (isinstance(gens, list) and all(
@@ -157,15 +161,11 @@ def load_config(path, command) -> dict:
             )):
                 raise ConfigError("'group.generators' must be a list of matrices (lists of rows); "
                                   f"got {gens!r}")
-            group["generators"] = [
-                [[_number("group.generators", v, integer=True) for v in r] for r in g] for g in gens
-            ]
-        # only the table compares groups; resolve_group refuses a name list
-        specs = [{"name": n} for n in names] if command == "table" else [group]
-        if not specs:
-            raise ConfigError("table runs need a nonempty group name list")
+            gens = [np.array([[_number("group.generators", v, integer=True) for v in r] for r in g])
+                    for g in gens]
         try:
-            groups = [resolve_group(spec) for spec in specs]
+            groups = ([CoxeterGroup(gens)] if "generators" in group
+                      else [named_group(n) for n in names])
         except ValueError as exc:  # an unknown name, or generators that are no reflections
             raise ConfigError(str(exc)) from exc
     if "solver" in reads:
@@ -187,15 +187,6 @@ def load_config(path, command) -> dict:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return cfg
-
-
-def resolve_group(group_spec: dict) -> CoxeterGroup:
-    if "generators" in group_spec:
-        return CoxeterGroup([np.asarray(g) for g in group_spec["generators"]])
-    name = group_spec.get("name", "trivial")
-    if isinstance(name, list):
-        raise ConfigError("this command needs a single group name, not a list")
-    return named_group(name)
 
 
 # ---------------------------------------------------------------------------

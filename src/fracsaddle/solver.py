@@ -187,8 +187,9 @@ def separation_factor(G: CoxeterGroup, q: np.ndarray) -> float:
     return 6.0 / m
 
 
-def initial_guess(config: SolverConfig, groundstate: Field | None = None) -> Field:
-    """The start of a solve in config's class; solve projects and scales it.
+def initial_guess(config: SolverConfig, groundstate: Field | None = None):
+    """(start, field): the start of a solve in config's class, which solve
+    projects and scales, and its label, "gaussian" or the shift taken.
 
     The trivial class starts from a centered Gaussian of width L/8.  Any
     other class takes a unit direction q through the chamber interior and
@@ -205,11 +206,6 @@ def initial_guess(config: SolverConfig, groundstate: Field | None = None) -> Fie
     k = 1, 2, ... until a shift's energy rises.  A shift that projects to
     zero is skipped; each candidate costs one evaluation.
     """
-    return _start(config, groundstate)[1]
-
-
-def _start(config: SolverConfig, groundstate: Field | None = None):
-    """initial_guess as (start, field); start is the shift taken or "gaussian"."""
     grid, G = config.grid, config.group
     if G.is_trivial():
         sigma = grid.L / 8.0
@@ -249,8 +245,8 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     """Minimize the energy over the Nehari set of the symmetric class.
 
     The start is projected onto the class (CollapseToZero if nothing is
-    left), evaluated, and scaled onto the Nehari set; initial_guess gives
-    one.  Each iteration forms the plain image w = P(u - d) of the iterate
+    left), evaluated, and scaled onto the Nehari set; initial_guess's field
+    is one.  Each iteration forms the plain image w = P(u - d) of the iterate
     u, where d is the (1 + |xi|^{2s})^{-1}-smoothed gradient and P the class
     projection: the map u -> w is the Petviashvili iteration.  The gradient
     is g = (1 + |xi|^{2s}) u - F with F = (K_alpha * |u|^p)|u|^{p-2} u, so

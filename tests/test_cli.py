@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from fracsaddle import cli
-from fracsaddle.analysis import nodal_domains
+from fracsaddle.analysis import nodal_domains, solve_level
 from fracsaddle.cli import main
 from fracsaddle.fieldio import (
     ConfigError,
     load_config,
     read_field,
-    resolve_group,
     write_field,
     write_report,
 )
@@ -201,13 +200,22 @@ def test_load_config_resolves_groups(tmp_path):
     assert [(sc.group.name, sc.group.order) for sc in configs] == [("B2", 8)]
 
 
-def test_resolve_group_paths():
-    assert resolve_group({"name": "B2"}).order == 8
-    assert resolve_group({}).is_trivial()
+def test_resolve_group_paths(tmp_path):
+    # load_config resolves a name, generators, or no group at all (trivial)
+    def group_of(command, group):
+        cfg = base_config(tmp_path)
+        if group is not None:
+            cfg["group"] = group
+        (sc,) = load_config(write_json(tmp_path / "c.json", cfg), command)["configs"]
+        return sc.group
+
+    assert group_of("saddle", {"name": "B2"}).order == 8
+    assert group_of("groundstate", None).is_trivial()
+    assert group_of("groundstate", {}).is_trivial()
     gens = [[[0, 1], [1, 0]]]
-    assert resolve_group({"generators": gens}).order == 2
-    with pytest.raises(ConfigError):
-        resolve_group({"name": ["A1", "B2"]})
+    assert group_of("saddle", {"generators": gens}).order == 2
+    with pytest.raises(ConfigError, match="needs a single group name, not a list"):
+        group_of("saddle", {"name": ["A1", "B2"]})
 
 
 # -- field round trip --------------------------------------------------------
@@ -325,6 +333,29 @@ def test_cli_saddle_run(tmp_path, monkeypatch, capsys):
     assert report["decay_slope"] is None
     assert "fit window" in report["decay_slope_reason"]
     assert "nodal=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, group", [
+    ("groundstate", None),
+    ("saddle", {"name": "A1"}),
+    ("saddle", {"generators": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]]}),
+])
+def test_cli_writes_the_solve_level_solution(tmp_path, command, group):
+    # groundstate and saddle write what solve_level(G, config) returns, bitwise
+    outdir = tmp_path / "run"
+    cfg = base_config(outdir, grid={"M": 16, "L": 10.0})
+    if group is not None:
+        cfg["group"] = group
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main([command, "--config", path]) == 0
+    (sc,) = load_config(path, command)["configs"]
+    sol = solve_level(sc.group, sc)
+    name = sc.group.name or "custom"
+    field, _ = read_field(outdir / f"{name}_solution.f64")
+    report = json.loads((outdir / f"{name}_report.json").read_text())
+    assert np.array_equal(field.values, sol.u.values)
+    assert report["metadata"]["start"] == sol.metadata["start"]
+    assert report["iterations"] == sol.iterations
 
 
 def test_cli_decay(tmp_path, capsys):

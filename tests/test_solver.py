@@ -51,8 +51,8 @@ GROUPS = ["A1", "A1xA1", "A2", "B2", "B3"]
 
 
 def start(cfg):
-    """solve from initial_guess, as the CLI and solve_level run it."""
-    return solve(cfg, initial_guess(cfg))
+    """solve from the Gaussian start, initial_guess(cfg) without a groundstate."""
+    return solve(cfg, initial_guess(cfg)[1])
 
 
 def chamber_direction(G):
@@ -143,7 +143,7 @@ def test_solve_starts_at_the_nehari_energy_of_its_start(name):
     # start once: the first traced energy is the start's own Nehari energy
     g = Grid(3, 16, 8.0)
     cfg = SolverConfig(params=PARAMS, grid=g, group=named_group(name), max_iters=1)
-    u0 = initial_guess(cfg)
+    u0 = initial_guess(cfg)[1]
     assert hs_norm_sq(u0, PARAMS.s) != pytest.approx(interaction(u0, PARAMS), rel=1e-3)
     sol = solve(cfg, u0)
     assert sol.metadata["trace"]["energy"][0] == pytest.approx(nehari_energy(u0, PARAMS), rel=1e-13)
@@ -188,7 +188,7 @@ def test_init_saddle_rank1_geometry():
     g = Grid(3, 16, 12.0)
     G = named_group("A1")
     R = 0.075 * g.L  # l_G = 3 for one mirror
-    u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))
+    u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))[1]
     vals = u.values
     # odd in x1, wall plane exactly zero
     action = get_action(g, G)
@@ -207,7 +207,7 @@ def test_init_saddle_rank1_geometry():
 def test_init_saddle_symmetry_all_groups(name):
     g = Grid(3, 16, 12.0)
     G = named_group(name)
-    u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))
+    u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))[1]
     action = get_action(g, G)
     flat = u.values.ravel()
     for i in range(G.order):
@@ -241,8 +241,9 @@ def test_initial_guess_without_groundstate_is_the_gaussian_start(name):
         c[: G.rank] = ell * R * q
         d2 = sum((np.mod(x - ci + g.L / 2.0, g.L) - g.L / 2.0) ** 2 for x, ci in zip(g.coords(), c))
         want = symmetrize(Field(g, np.exp(-d2 / (R / 2.0) ** 2)), G).values
-    assert np.array_equal(initial_guess(cfg).values, want)
-    assert solver._start(cfg)[0] == "gaussian"
+    label, u = initial_guess(cfg)
+    assert np.array_equal(u.values, want)
+    assert label == "gaussian"
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -252,10 +253,11 @@ def test_initial_guess_from_groundstate(name, solves24):
     u0 = solves24("trivial").u
     G = named_group(name)
     cfg = SolverConfig(params=PARAMS, grid=u0.grid, group=G)
-    shift, u = solver._start(cfg, u0)
+    shift, u = initial_guess(cfg, u0)
     assert np.array_equal(symmetrize(u, G).values, u.values)
-    assert nehari_energy(u, PARAMS) <= nehari_energy(initial_guess(cfg), PARAMS)
-    assert np.array_equal(initial_guess(cfg, u0).values, u.values)
+    assert nehari_energy(u, PARAMS) <= nehari_energy(initial_guess(cfg)[1], PARAMS)
+    again = initial_guess(cfg, u0)  # the same start on every call, bitwise
+    assert again[0] == shift and np.array_equal(again[1].values, u.values)
     # the groundstate beats the Gaussian for every class here
     assert shift != "gaussian"
     rolled = np.roll(u0.values, shift, range(3))
@@ -273,7 +275,7 @@ def test_initial_guess_skips_shifts_on_walls(solves24):
         shift = np.rint(k * q).astype(int)
         with pytest.raises(CollapseToZero):
             solve(cfg, Field(u0.grid, np.roll(u0.values, shift, range(3))))
-    shift, u = solver._start(cfg, u0)
+    shift, u = initial_guess(cfg, u0)
     assert shift != "gaussian" and np.abs(u.values).max() > 0.0
     sol = solve(cfg, u)
     assert sol.converged and sol.iterations <= 40  # 29 from the Gaussian start, 27 from here
@@ -559,7 +561,7 @@ def test_solve_transform_count(name, monkeypatch):
     # full complex transform
     g = Grid(3, 16, 10.0)
     cfg = SolverConfig(params=PARAMS, grid=g, group=named_group(name))
-    init = initial_guess(cfg)
+    init = initial_guess(cfg)[1]
     calls = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
 
     def counted(kind, fn):
@@ -615,7 +617,7 @@ def test_solve_working_set():
     # rescaling and the irfft in chunks.  The bound leaves about 10%.
     g = Grid(3, 48, 24.0)
     cfg = SolverConfig(params=PARAMS, grid=g, group=named_group("trivial"))
-    init = initial_guess(cfg)
+    init = initial_guess(cfg)[1]
     spectral._kernel_transform(g, PARAMS.alpha)
     tracemalloc.start()
     try:
