@@ -11,11 +11,10 @@ of signed reflection groups.  Public surface:
   solver      projected minimization within a symmetry class
   analysis    nodal counts, decay fits, energy comparison tables
   extension   half-space harmonic extension energy audit
-  fieldio     config files, field serialization, run reports
+  fieldio     config files, and every file a run writes
 """
 
 from .analysis import (
-    EnergyTable,
     NodalReport,
     TableRow,
     decay_exponent,
@@ -58,7 +57,6 @@ __all__ = [
     "ConfigError",
     "CoxeterGroup",
     "EnergyBreakdown",
-    "EnergyTable",
     "Field",
     "Grid",
     "ModelParams",

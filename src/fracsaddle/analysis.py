@@ -1,7 +1,6 @@
 """Post-hoc checks on computed fields: nodal structure, tail decay, chamber
 sign, and the energy comparison table for the saddle existence chain."""
 
-import csv
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -148,20 +147,6 @@ class TableRow:
     converged: bool
 
 
-@dataclass
-class EnergyTable:
-    rows: list
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["group", "cG", "cStar", "margin", "verified"])
-            for r in self.rows:
-                c_star = "" if not np.isfinite(r.c_star) else f"{r.c_star:.10g}"
-                margin = "" if not np.isfinite(r.margin) else f"{r.margin:.10g}"
-                w.writerow([r.group, f"{r.c_G:.10g}", c_star, margin, str(r.verified).lower()])
-
-
 def _breakup_levels(G: CoxeterGroup):
     """(|O_x|, S_x) for the chamber points x whose breakups bound G's level.
 
@@ -207,16 +192,17 @@ def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = No
         start, init = initial_guess(cfg, u0)
         sol = solve(cfg, init)
         sol.metadata["start"] = start
-        cache[key] = (sol, sigma)
-    sol, sigma0 = cache[key]
+        cache[key] = (sol, group, sigma)
+    sol, G0, sigma0 = cache[key]
     S = sigma0.T @ sigma
     if np.array_equal(S, np.eye(len(S), dtype=S.dtype)):
         return sol
-    return _conjugate(sol, S, cfg)
+    return _conjugate(sol, G0, S, cfg)
 
 
-def _conjugate(sol, S: np.ndarray, cfg: SolverConfig):
-    """sol moved to the class of cfg.group = S^T G0 S as u(x) = v(S x).
+def _conjugate(sol, G0: CoxeterGroup, S: np.ndarray, cfg: SolverConfig):
+    """sol, solved for G0, moved to the class of cfg.group = S^T G0 S as
+    u(x) = v(S x).
 
     The gather is exact and keeps u in its class bitwise, but the padded
     convolution sees a negated axis's -L/2 face layer map to itself, not to
@@ -228,20 +214,19 @@ def _conjugate(sol, S: np.ndarray, cfg: SolverConfig):
     u = Field(grid, sol.u.values.ravel()[_index_table(grid, S)].reshape(grid.shape))
     ev, mult = _evaluate_field(u, params)
     residual = _force_and_residual(u.values, ev, grid, mult, params.p)[1]
-    meta = dict(sol.metadata)
-    meta["group"] = {"name": cfg.group.name, "order": cfg.group.order}
-    meta["reused_from"] = {"group": sol.metadata["group"], "signed_permutation": S.tolist()}
+    reused = {"group": {"name": G0.name, "order": G0.order},
+              "signed_permutation": S.tolist()}
     return replace(
         sol,
         u=u,
         energy=_action(ev.Q, ev.D, params.p),
         residual=residual,
         converged=residual <= cfg.tol,
-        metadata=meta,
+        metadata={**sol.metadata, "reused_from": reused},
     )
 
 
-def energy_table(configs, cache: dict | None = None) -> EnergyTable:
+def energy_table(configs, cache: dict | None = None) -> list:
     """One row per config: the symmetric level c_G against the cheapest
     breakup level c*_G = min |O_x| c_{S_x} over the chamber points x of
     _breakup_levels: |G| c_trivial and, with two walls or more, |G|/2 times
@@ -276,4 +261,4 @@ def energy_table(configs, cache: dict | None = None) -> EnergyTable:
                 converged=sol.converged,
             )
         )
-    return EnergyTable(rows)
+    return rows

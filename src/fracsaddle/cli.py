@@ -23,7 +23,7 @@ from .analysis import (
     solve_level,
 )
 from .extension import YGrid, default_y_max, energy_identity_check
-from .fieldio import load_config, read_field, write_field, write_report
+from .fieldio import load_config, read_field, write_csv, write_field, write_report
 from .params import critical_exponent, extension_constant, riesz_constant
 from .solver import CollapseToZero
 # cli never calls solve; perfbench/test_perfbench.py names this binding
@@ -114,14 +114,19 @@ def _run_and_write(args) -> int:
 
 def cmd_table(args) -> int:
     cfg = _prepare(args)
-    table = energy_table(cfg["configs"])
-    outdir = Path(cfg["output"]["dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    table.to_csv(outdir / "energy_table.csv")
-    for row in table.rows:
-        star = f"{row.c_star:.6g}" if np.isfinite(row.c_star) else "-"
-        print(f"{row.group}: cG={row.c_G:.6g} cStar={star} verified={row.verified}")
-    return 0 if all(r.verified for r in table.rows) else 2
+    rows = energy_table(cfg["configs"])
+
+    def cell(x):  # the trivial group has no breakup: its cStar and margin are blank
+        return f"{x:.10g}" if np.isfinite(x) else ""
+
+    write_csv(Path(cfg["output"]["dir"]) / "energy_table.csv",
+              ["group", "cG", "cStar", "margin", "verified"],
+              [[r.group, f"{r.c_G:.10g}", cell(r.c_star), cell(r.margin), str(r.verified).lower()]
+               for r in rows])
+    for r in rows:
+        star = f"{r.c_star:.6g}" if np.isfinite(r.c_star) else "-"
+        print(f"{r.group}: cG={r.c_G:.6g} cStar={star} verified={r.verified}")
+    return 0 if all(r.verified for r in rows) else 2
 
 
 def cmd_decay(args) -> int:
@@ -144,20 +149,16 @@ def cmd_extension_check(args) -> int:
     damp = np.exp(-0.5 * grid.half_freq_norm_sq())
     smooth = spectral.irfftn(spectral.rfftn(noise) * damp, grid.shape)
     u = spectral.Field(grid, smooth)
-    outdir = Path(cfg["output"]["dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
     yg = YGrid.graded(J, default_y_max(grid))
     rows = []
     ok = True
     for s in cfg["s_values"]:
         lhs, rhs, ratio = energy_identity_check(u, s, yg)
-        rows.append((s, J, lhs, rhs, ratio))
+        rows.append([str(s), str(J), f"{lhs:.12g}", f"{rhs:.12g}", f"{ratio:.12g}"])
         ok = ok and abs(ratio - 1.0) <= 0.02
         print(f"s={s}: lhs={lhs:.8g} rhs={rhs:.8g} ratio={ratio:.6f}")
-    with open(outdir / "extension_check.csv", "w") as fh:
-        fh.write("s,J,lhs,rhs,ratio\n")
-        for r in rows:
-            fh.write(f"{r[0]},{r[1]},{r[2]:.12g},{r[3]:.12g},{r[4]:.12g}\n")
+    write_csv(Path(cfg["output"]["dir"]) / "extension_check.csv",
+              ["s", "J", "lhs", "rhs", "ratio"], rows)
     return 0 if ok else 2
 
 

@@ -2,10 +2,12 @@
 
 Fields travel as raw little-endian float64 in C order next to a JSON
 sidecar carrying the grid and problem metadata; configs and reports are
-JSON; tables are CSV.  Everything is diff-able and language-neutral.
-fieldio writes a run's report; cli decides what goes in it.
+JSON; tables are CSV with LF line ends.  Everything is diff-able and
+language-neutral.  fieldio is the one module that writes files and picks
+their format, creating the output directory; cli decides what goes in them.
 """
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -256,6 +258,16 @@ def write_report(path, report: dict) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, default=_json_default)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """header, then one line per row of formatted strings, with LF line ends."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _json_default(obj):

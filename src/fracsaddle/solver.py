@@ -380,24 +380,12 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
         # out of iterations after a step: report the residual of the returned u
         residual = _force_and_residual(u, ev, grid, mult, p)[1]
 
-    elapsed = time.perf_counter() - t_start
-    meta = {
-        "params": {"N": params.N, "s": params.s, "alpha": params.alpha, "p": params.p},
-        "grid": {"M": grid.M, "L": grid.L, "N_dims": grid.N_dims},
-        "group": {"name": config.group.name, "order": config.group.order},
-        "tol": config.tol,
-        "max_iters": config.max_iters,
-        "stalled": stalled,
-        **counts,
-        "trace": trace,
-        "time_seconds": elapsed,
-        "time_per_iteration": elapsed / max(iters, 1),
-    }
     return Solution(
         u=Field(grid, u),
         energy=_action(ev.Q, ev.D, p),
         residual=residual,
         iterations=iters,
         converged=residual <= config.tol,
-        metadata=meta,
+        metadata={"stalled": stalled, **counts, "trace": trace,
+                  "time_seconds": time.perf_counter() - t_start},
     )

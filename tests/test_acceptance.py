@@ -237,7 +237,7 @@ def test_criterion_08_rank2_saddles(saddle_a1xa1_48, saddle_b2_48, saddle_a1_48,
         nodal = nodal_domains(sol.u).count
         assert nodal == want_nodal, f"{name}: nodal {nodal}"
         assert sign_on_fundamental_domain(sol.u, G), name
-    rows = {r.group: r for r in accept_table.rows}
+    rows = {r.group: r for r in accept_table}
     for name in ("A1xA1", "B2"):
         row = rows[name]
         assert row.c_G < row.c_star, name

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -389,7 +390,9 @@ def test_cli_extension_check(tmp_path, capsys):
     cfg["grid"] = {"M": 12, "L": 8.0}
     path = write_json(tmp_path / "c.json", cfg)
     assert main(["extension-check", "--config", path]) == 0
-    rows = (outdir / "extension_check.csv").read_text().strip().splitlines()
+    data = (outdir / "extension_check.csv").read_bytes()
+    assert b"\r" not in data  # LF line ends, like every CSV a run writes
+    rows = data.decode().strip().splitlines()
     assert rows[0] == "s,J,lhs,rhs,ratio"
     assert [float(r.split(",")[0]) for r in rows[1:]] == [0.25, 0.5, 0.75]
     for r in rows[1:]:
@@ -402,9 +405,17 @@ def test_cli_table(tmp_path, capsys):
     cfg["grid"] = {"M": 16, "L": 10.0}
     path = write_json(tmp_path / "c.json", cfg)
     assert main(["table", "--config", path]) == 0
-    rows = (outdir / "energy_table.csv").read_text().strip().splitlines()
-    assert rows[0] == "group,cG,cStar,margin,verified"
-    assert len(rows) == 3
+    data = (outdir / "energy_table.csv").read_bytes()
+    assert b"\r" not in data  # `cut -d, -f5` must see "true", not "true\r"
+    lines = data.decode().strip().splitlines()
+    assert lines[0] == "group,cG,cStar,margin,verified"
+    rows = list(csv.DictReader(lines))
+    assert [r["group"] for r in rows] == ["trivial", "A1"]
+    assert rows[0]["cStar"] == rows[0]["margin"] == ""  # the trivial group has no breakup
+    assert float(rows[1]["cStar"]) == pytest.approx(2.0 * float(rows[0]["cG"]), rel=1e-9)
+    assert all(r["verified"] == "true" for r in rows)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("trivial: cG=") and out[0].endswith(" cStar=- verified=True")
 
 
 # Each of these was once coerced and run: tol true as 1.0 (a 2-iteration
@@ -503,6 +514,21 @@ def test_cli_error_exits(tmp_path, capsys):
     path = write_json(tmp_path / "t.json", cfg)
     assert main(["saddle", "--config", path]) == 1
     assert "error: saddle runs need a nontrivial group" in capsys.readouterr().err
+
+
+def test_cli_reports_a_collapse_to_zero(tmp_path, monkeypatch, capsys):
+    # a class whose start or iterate symmetrizes to zero is a finished run
+    # that missed its target: exit 2 and an error line, and no report
+    def collapse(group, base, cache=None):
+        raise cli.CollapseToZero("initial field symmetrized to zero")
+
+    monkeypatch.setattr(cli, "solve_level", collapse)
+    outdir = tmp_path / "run"
+    path = write_json(tmp_path / "c.json", base_config(outdir, group={"name": "A1"}))
+    assert main(["saddle", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: initial field symmetrized to zero\n"
+    assert not outdir.exists()
 
 
 # Each of these once ended in an OSError traceback.

@@ -58,6 +58,22 @@ def test_no_function_local_imports():
     assert found == []
 
 
+def test_only_fieldio_writes_files():
+    # fieldio picks every output file's format and creates its directory, so
+    # one CSV dialect and one place to look for what a run leaves behind
+    writes = {"open", "mkdir", "tofile", "write_text", "write_bytes"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fieldio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in writes:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_cli_import_leaves_heavy_scipy_unloaded():
     # every run pays for what `import fracsaddle.cli` loads, and importing
     # scipy's subpackages costs more than most solves; the package needs
