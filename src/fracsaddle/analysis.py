@@ -177,9 +177,9 @@ def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = No
     breakup candidates share solves; pass the same dict across calls to
     reuse them.  A group conjugate to a solved one gets the solved field
     moved by index (see _conjugate); a group with the same embedded element
-    set gets the cached object itself.  A nontrivial group starts from the
-    trivial level on the same key fields (see initial_guess), so no result
-    depends on the order of the calls; metadata["start"] records the start.
+    set gets the cached object itself.  A missing class is solved once, from
+    initial_guess, and no other class is solved for it; metadata["start"]
+    records the start.
     """
     if cache is None:
         cache = {}
@@ -187,9 +187,7 @@ def solve_level(group: CoxeterGroup, base: SolverConfig, cache: dict | None = No
     form, sigma = group.canonical_form(cfg.grid.N_dims)
     key = (form, *(getattr(cfg, f.name) for f in fields(cfg) if f.name != "group"))
     if key not in cache:
-        trivial = CoxeterGroup.trivial(group.rank)
-        u0 = None if group.is_trivial() else solve_level(trivial, base, cache).u
-        start, init = initial_guess(cfg, u0)
+        start, init = initial_guess(cfg)
         sol = solve(cfg, init)
         sol.metadata["start"] = start
         cache[key] = (sol, group, sigma)
@@ -208,13 +206,15 @@ def _conjugate(sol, G0: CoxeterGroup, S: np.ndarray, cfg: SolverConfig):
     convolution sees a negated axis's -L/2 face layer map to itself, not to
     +L/2, so the functional is invariant only when that layer is zero.  The
     energy, residual and converged flag are therefore measured on u, with
-    one evaluation.  metadata["reused_from"] names the solved group and S.
+    one evaluation.  metadata["reused_from"] names the solved group, with its
+    generators, and S.
     """
     grid, params = cfg.grid, cfg.params
     u = Field(grid, sol.u.values.ravel()[_index_table(grid, S)].reshape(grid.shape))
     ev, mult = _evaluate_field(u, params)
     residual = _force_and_residual(u.values, ev, grid, mult, params.p)[1]
-    reused = {"group": {"name": G0.name, "order": G0.order},
+    reused = {"group": {"name": G0.name, "order": G0.order,
+                        "generators": [g.tolist() for g in G0.generators]},
               "signed_permutation": S.tolist()}
     return replace(
         sol,

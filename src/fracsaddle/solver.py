@@ -11,6 +11,10 @@ and a signed scatter.  Idempotence and equivariance hold bitwise.
 Lattice nodes fixed by an orientation-reversing element (reflection walls,
 including the periodic identification of the -L/2 faces) can only carry the
 value 0 and are pinned there.
+
+Every class starts from one Gaussian (initial_guess): centred for the
+trivial class, and otherwise rolled by whole nodes into the chamber and
+projected, so the start too moves on the lattice and never interpolates.
 """
 
 import time
@@ -174,66 +178,38 @@ def symmetrize(u: Field, G: CoxeterGroup) -> Field:
 # Initial guess
 # ---------------------------------------------------------------------------
 
-def separation_factor(G: CoxeterGroup, q: np.ndarray) -> float:
-    """Smallest l with l * (min pairwise distance of the orbit of q) >= 6.
-
-    q is a unit vector inside the chamber, so its stabilizer is trivial and
-    its |G| images g q are distinct.
-    """
-    pts = G.elements @ q
-    d = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((d**2).sum(axis=2))
-    m = dist[dist > 1e-9].min()
-    return 6.0 / m
-
-
-def initial_guess(config: SolverConfig, groundstate: Field | None = None):
+def initial_guess(config: SolverConfig):
     """(start, field): the start of a solve in config's class, which solve
     projects and scales, and its label, "gaussian" or the shift taken.
 
     The trivial class starts from a centered Gaussian of width L/8.  Any
-    other class takes a unit direction q through the chamber interior and
-    places one Gaussian of width R/2 at l_G R q, at minimum-image distance
-    in the periodic box; the class projection then builds the signed orbit
-    exactly, a bump of sign phi(g) at each g l_G R q.  The rank-1 case
-    reduces to two opposite bumps at +-3R along the wall normal.  R is
-    0.45 L / (l_G + 3), so the bumps stay clear of the wrap guard
-    l_G R <= L/2 - 3R; l_G >= 3, so R <= 0.075 L.
-
-    Given the solved groundstate u0, the start is whichever has the least
-    Nehari energy: the Gaussian start, or u0 rolled by the whole nodes
-    rint(k q) and projected (signed groundstate bumps, moved exactly) for
-    k = 1, 2, ... until a shift's energy rises.  A shift that projects to
-    zero is skipped; each candidate costs one evaluation.
+    other class starts from that Gaussian rolled by the whole nodes
+    rint(k q), k = 1, 2, ..., along the unit chamber direction q and
+    projected: a signed orbit of Gaussian bumps, moved exactly.  A shift
+    that projects to zero is skipped, the scan stops at the first shift
+    whose Nehari energy rises, and the least is kept; each candidate costs
+    one evaluation.  If no shift survives the projection, the grid is too
+    coarse for the class: CollapseToZero.
     """
     grid, G = config.grid, config.group
+    gauss = np.exp(-grid.radius() ** 2 / (grid.L / 8.0) ** 2)
     if G.is_trivial():
-        sigma = grid.L / 8.0
-        return "gaussian", Field(grid, np.exp(-grid.radius() ** 2 / sigma**2))
+        return "gaussian", Field(grid, gauss)
     q = G.chamber().interior_point()
-    q = q / np.linalg.norm(q)
-    ell = separation_factor(G, q)
-    R = 0.45 * grid.L / (ell + 3.0)
     direction = np.zeros(grid.N_dims)
-    direction[: G.rank] = q
-    center = ell * R * direction
-    L = grid.L
-    offsets = (np.mod(x - c + L / 2.0, L) - L / 2.0 for x, c in zip(grid.coords(), center))
-    best = symmetrize(Field(grid, np.exp(-sum(d**2 for d in offsets) / (R / 2.0) ** 2)), G)
-    if groundstate is None:
-        return "gaussian", best
-    start, E_best, E_shift = "gaussian", nehari_energy(best, config.params), np.inf
+    direction[: G.rank] = q / np.linalg.norm(q)
+    start, best, E_best = None, None, np.inf
     shifts = np.rint(np.arange(1, grid.M // 2)[:, None] * direction).astype(np.int64).tolist()
     for shift in dict.fromkeys(map(tuple, shifts)):  # distinct, in order
-        cand = symmetrize(Field(grid, np.roll(groundstate.values, shift, range(grid.N_dims))), G)
+        cand = symmetrize(Field(grid, np.roll(gauss, shift, range(grid.N_dims))), G)
         if np.sqrt(grid.cellvol * np.sum(cand.values**2)) < _ZERO_TOL:
             continue
         E = nehari_energy(cand, config.params)
-        if E > E_shift:
+        if E > E_best:
             break
-        E_shift = E
-        if E < E_best:
-            start, best, E_best = list(shift), cand, E
+        start, best, E_best = list(shift), cand, E
+    if best is None:
+        raise CollapseToZero(f"every whole-node shift of the start projects to zero at M = {grid.M}")
     return start, best
 
 

@@ -210,10 +210,10 @@ def test_criterion_07_odd_saddle(grid48, groundstate48, saddle_a1_48, level_cach
     c0, cA1 = groundstate48.energy, sol.energy
     margin = min(cA1 - c0, 2.0 * c0 - cA1)
     assert margin >= 0.05 * c0, f"chain margin {margin:.3f} vs 5% of c0 = {0.05 * c0:.3f}"
-    # independent seeds: restart from the groundstate start, perturbed
+    # independent seeds: restart from the class's start, perturbed
     cfg = SolverConfig(params=PARAMS, grid=grid48, group=G, tol=1e-6, max_iters=2000)
     energies = [cA1]
-    u0 = initial_guess(cfg, groundstate48.u)[1]
+    u0 = initial_guess(cfg)[1]
     for seed in (101, 202):
         rng = np.random.default_rng(seed)
         noise = ifftn(fftn(rng.standard_normal(grid48.shape)) * np.exp(-0.5 * freq_norm_sq(grid48))).real

@@ -285,29 +285,38 @@ def test_energy_table_solves_each_conjugacy_class_once(table24):
 
 
 def test_energy_table_starts_from_the_groundstate(table24):
-    # 162 iterations from the Gaussian starts (13/35/28/34/52); 104 from the
-    # groundstate moved by whole nodes (13/19/22/35/15)
+    # 162 iterations from the Gaussian bump orbits (13/35/28/34/52), 104 from
+    # the solved groundstate moved by whole nodes (13/19/22/35/15), and 99
+    # from the trivial class's Gaussian moved by whole nodes (13/23/20/22/21)
     _, cache, _, _ = table24
     starts = {G.name: sol.metadata["start"] for sol, G, _ in cache.values()}
     assert starts["trivial"] == "gaussian"
-    assert starts["A1"] == [2, 0, 0] and starts["A1xA1"] == [2, 2, 0]
-    assert sum(sol.iterations for sol, _, _ in cache.values()) <= 125
+    assert starts["A1"] == [3, 0, 0] and starts["A1xA1"] == [3, 3, 0]
+    assert sum(sol.iterations for sol, _, _ in cache.values()) <= 110
 
 
-def test_solve_level_start_does_not_depend_on_call_order():
-    g = Grid(3, 16, 12.0)
-    base = SolverConfig(params=PARAMS, grid=g, group=named_group("trivial"), tol=1e-5)
-    cold = solve_level(named_group("A1"), base, {})
-    warm = {}
-    solve_level(named_group("trivial"), base, warm)
-    after = solve_level(named_group("A1"), base, warm)
-    assert cold.metadata["start"] == after.metadata["start"] != "gaussian"
-    assert np.array_equal(cold.u.values, after.u.values)
-    assert cold.energy == after.energy and cold.iterations == after.iterations
+def test_saddle_solve_on_an_empty_cache_makes_one_solve(monkeypatch):
+    # solve_level solves only the class asked for, not the groundstate first
+    solves = []
+
+    def counting(cfg, u0):
+        solves.append(cfg.group)
+        return solve(cfg, u0)
+
+    monkeypatch.setattr(analysis, "solve", counting)
+    G = named_group("A1")
+    cfg = SolverConfig(params=PARAMS, grid=Grid(3, 16, 12.0), group=G, tol=1e-5)
+    cache = {}
+    sol = solve_level(G, cfg, cache)
+    assert len(cache) == 1 and solves == [G]
+    start, u0 = initial_guess(cfg)
+    assert sol.metadata["start"] == start != "gaussian"
+    assert np.array_equal(sol.u.values, solve(cfg, u0).u.values)
 
 
-def test_saddle_a1_48_starts_from_the_groundstate(saddle_a1_48):
-    # 107 iterations and 74 rejected mixes from the Gaussian start
+def test_saddle_a1_48_starts_from_the_shifted_gaussian(saddle_a1_48):
+    # 107 iterations and 74 rejected mixes from the Gaussian bump orbit; 15
+    # from the solved groundstate moved by whole nodes, after its 14
     assert saddle_a1_48.converged
     assert saddle_a1_48.metadata["start"] == [4, 0, 0]
     assert saddle_a1_48.iterations <= 25
@@ -335,9 +344,10 @@ def test_solve_level_reuses_conjugate_class(mirror, source, table24):
     sol = solve_level(G, base, cache)
     assert len(solves) == n_solves  # no new solve
     reused = sol.metadata["reused_from"]
-    assert reused["group"] == {"name": source, "order": 2}
+    assert reused["group"]["name"] == source and reused["group"]["order"] == 2
+    # the generators name the solved group, also one without a name
     cached = next(v for v, G0, _ in cache.values()
-                  if {"name": G0.name, "order": G0.order} == reused["group"])
+                  if [m.tolist() for m in G0.generators] == reused["group"]["generators"])
     S = np.array(reused["signed_permutation"])
     want = cached.u.values.ravel()[_index_table(g, S)].reshape(g.shape)
     assert np.array_equal(sol.u.values, want)

@@ -531,6 +531,18 @@ def test_cli_reports_a_collapse_to_zero(tmp_path, monkeypatch, capsys):
     assert not outdir.exists()
 
 
+def test_cli_reports_a_grid_too_coarse_for_the_class(tmp_path, capsys):
+    # at M = 8 every shift of B3's start lies on a wall: exit 2 and one error
+    # line naming the grid, and no report
+    outdir = tmp_path / "run"
+    path = write_json(tmp_path / "c.json", base_config(
+        outdir, grid={"M": 8, "L": 6.0}, group={"name": "B3"}))
+    assert main(["saddle", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at M = 8" in err and err.count("\n") == 1
+    assert not outdir.exists()
+
+
 # Each of these once ended in an OSError traceback.
 def test_cli_reports_a_config_directory(tmp_path, capsys):
     assert main(["groundstate", "--config", str(tmp_path)]) == 1

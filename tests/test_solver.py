@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracsaddle.analysis import nodal_domains, sign_on_fundamental_domain
+from fracsaddle.analysis import nodal_domains, sign_on_fundamental_domain, solve_level
 from fracsaddle.coxeter import CoxeterGroup, _signed_permutations, named_group
 from fracsaddle import solver, spectral
 from fracsaddle.energy import (
@@ -24,7 +24,6 @@ from fracsaddle.solver import (
     SolverConfig,
     get_action,
     initial_guess,
-    separation_factor,
     solve,
     symmetrize,
 )
@@ -40,7 +39,6 @@ from fracsaddle.spectral import (
     seminorm_sq,
 )
 
-from coxeter_reference import orbit
 from solver_reference import _gradient as reference_gradient
 from solver_reference import _residual as reference_residual
 from solver_reference import mountain_pass_check
@@ -51,13 +49,22 @@ GROUPS = ["A1", "A1xA1", "A2", "B2", "B3"]
 
 
 def start(cfg):
-    """solve from the Gaussian start, initial_guess(cfg) without a groundstate."""
+    """solve from initial_guess(cfg), the start every class solve takes."""
     return solve(cfg, initial_guess(cfg)[1])
 
 
-def chamber_direction(G):
+def gaussian(g):
+    """The trivial class's start, the centred Gaussian of width L/8."""
+    return np.exp(-g.radius() ** 2 / (g.L / 8.0) ** 2)
+
+
+def chamber_ray(G, M):
+    """The distinct whole-node shifts rint(k q), k = 1, ..., M/2 - 1, along
+    the unit chamber direction q on a 3-D grid, in order."""
     q = G.chamber().interior_point()
-    return q / np.linalg.norm(q)
+    q = np.pad(q / np.linalg.norm(q), (0, 3 - G.rank))
+    shifts = (tuple(np.rint(k * q).astype(int).tolist()) for k in range(1, M // 2))
+    return [list(s) for s in dict.fromkeys(shifts)]
 
 
 def element_row(G, m):
@@ -162,55 +169,21 @@ def test_solve_starts_at_the_nehari_energy_of_its_start(name):
         assert u0.values.min() > 0.0
 
 
-def test_separation_factors():
-    # the two bumps of the rank-1 arrangement sit at distance 2 on the unit
-    # sphere, so the placement multiplier is exactly 3 (centers at +-3R)
-    A1 = named_group("A1")
-    assert separation_factor(A1, chamber_direction(A1)) == pytest.approx(3.0, rel=1e-12)
-    for name in ("A1xA1", "B2", "B3"):
-        G = named_group(name)
-        assert separation_factor(G, chamber_direction(G)) > 3.0
-    # an interior direction has |G| distinct images, so the images need no
-    # deduplication: the same factor as from the deduplicated orbit, bitwise
-    for name in GROUPS:
-        G = named_group(name)
-        q = chamber_direction(G)
-        pts = orbit(G, q)
-        assert len(pts) == G.order
-        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-        assert separation_factor(G, q) == 6.0 / dist[dist > 1e-9].min()
-
-
-def test_default_radius_respects_guard():
-    # R = 0.45 L / (l_G + 3) keeps the orbit clear of l_G R <= L/2 - 3R, and
-    # l_G >= 3 keeps R at or below 0.075 L, under the L/8 cap it once had
-    g = Grid(3, 16, 8.0)
-    for name in GROUPS:
-        G = named_group(name)
-        ell = separation_factor(G, chamber_direction(G))
-        R = 0.45 * g.L / (ell + 3.0)
-        assert ell >= 3.0
-        assert 0.0 < R <= 0.075 * g.L + 1e-12
-        assert ell * R <= g.L / 2.0 - 3.0 * R + 1e-12
-
-
 def test_init_saddle_rank1_geometry():
+    # the Gaussian moved 2 nodes along the x1 axis and made odd: a positive
+    # bump at +2h, a negative one at -2h and the wall plane exactly zero
     g = Grid(3, 16, 12.0)
     G = named_group("A1")
-    R = 0.075 * g.L  # l_G = 3 for one mirror
-    u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))[1]
+    shift, u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))
+    assert shift == [2, 0, 0]
     vals = u.values
-    # odd in x1, wall plane exactly zero
     action = get_action(g, G)
     flat = vals.ravel()
     assert np.array_equal(flat[action.tables[1]], -flat)
     k0 = g.M // 2  # node at x1 = 0
     assert np.all(vals[k0, :, :] == 0.0)
-    # peak near +3R on the x1 axis
-    peak = np.unravel_index(np.argmax(vals), g.shape)
-    x = g.axis_nodes()
-    assert abs(x[peak[0]] - 3.0 * R) <= g.h
-    assert abs(x[peak[1]]) <= g.h and abs(x[peak[2]]) <= g.h
+    assert np.unravel_index(np.argmax(vals), g.shape) == (k0 + 2, k0, k0)
+    assert np.unravel_index(np.argmin(vals), g.shape) == (k0 - 2, k0, k0)
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -237,58 +210,66 @@ def test_init_saddle_collapses_below_grid_scale():
 
 @pytest.mark.parametrize("name", ["trivial", *GROUPS])
 def test_initial_guess_without_groundstate_is_the_gaussian_start(name):
-    # the start documented before the groundstate seed existed, rebuilt here
+    # the documented start, rebuilt: the Gaussian itself for the trivial
+    # class, else the Gaussian rolled by the whole nodes rint(k q) of its
+    # label, on the chamber ray, and projected onto the class
     g = Grid(3, 16, 12.0)
     G = named_group(name)
-    cfg = SolverConfig(params=PARAMS, grid=g, group=G)
+    label, u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))
     if G.is_trivial():
-        want = np.exp(-g.radius() ** 2 / (g.L / 8.0) ** 2)
-    else:
-        q = chamber_direction(G)
-        ell = separation_factor(G, q)
-        R = 0.45 * g.L / (ell + 3.0)
-        c = np.zeros(3)
-        c[: G.rank] = ell * R * q
-        d2 = sum((np.mod(x - ci + g.L / 2.0, g.L) - g.L / 2.0) ** 2 for x, ci in zip(g.coords(), c))
-        want = symmetrize(Field(g, np.exp(-d2 / (R / 2.0) ** 2)), G).values
-    label, u = initial_guess(cfg)
-    assert np.array_equal(u.values, want)
-    assert label == "gaussian"
+        assert label == "gaussian"
+        assert np.array_equal(u.values, gaussian(g))
+        return
+    assert label in chamber_ray(G, g.M)
+    want = symmetrize(Field(g, np.roll(gaussian(g), label, range(3))), G)
+    assert np.array_equal(u.values, want.values)
 
 
 @pytest.mark.parametrize("name", GROUPS)
-def test_initial_guess_from_groundstate(name, solves24):
-    # a signed orbit of groundstate bumps, moved by whole nodes: bitwise in
-    # its class and never above the Gaussian start in Nehari energy
-    u0 = solves24("trivial").u
+def test_initial_guess_from_groundstate(name):
+    # the start is the trivial class's Gaussian moved along the chamber ray:
+    # bitwise in its class, the same on every call, and of least Nehari
+    # energy among the shifts the scan looks at, those up to the first rise
+    g = Grid(3, 24, 18.0)
     G = named_group(name)
-    cfg = SolverConfig(params=PARAMS, grid=u0.grid, group=G)
-    shift, u = initial_guess(cfg, u0)
+    cfg = SolverConfig(params=PARAMS, grid=g, group=G)
+    label, u = initial_guess(cfg)
     assert np.array_equal(symmetrize(u, G).values, u.values)
-    assert nehari_energy(u, PARAMS) <= nehari_energy(initial_guess(cfg)[1], PARAMS)
-    again = initial_guess(cfg, u0)  # the same start on every call, bitwise
-    assert again[0] == shift and np.array_equal(again[1].values, u.values)
-    # the groundstate beats the Gaussian for every class here
-    assert shift != "gaussian"
-    rolled = np.roll(u0.values, shift, range(3))
-    assert np.array_equal(symmetrize(Field(u0.grid, rolled), G).values, u.values)
+    again = initial_guess(cfg)
+    assert again[0] == label and np.array_equal(again[1].values, u.values)
+    energies = []
+    for shift in chamber_ray(G, g.M):
+        cand = symmetrize(Field(g, np.roll(gaussian(g), shift, range(3))), G)
+        if l2_norm_sq(cand) < 1e-20:  # on a wall
+            continue
+        energies.append(nehari_energy(cand, PARAMS))
+        if len(energies) > 1 and energies[-1] > energies[-2]:
+            break
+    assert nehari_energy(u, PARAMS) == min(energies)
 
 
 def test_initial_guess_skips_shifts_on_walls(solves24):
     # B3's chamber direction rounds to the nodes (1,1,0), (2,1,1) and (2,2,1)
     # first, each on a wall of the chamber, where the class keeps nothing
-    u0 = solves24("trivial").u
+    g = Grid(3, 24, 18.0)
     G = named_group("B3")
-    cfg = SolverConfig(params=PARAMS, grid=u0.grid, group=G)
-    q = chamber_direction(G)
-    for k in (1, 2, 3):
-        shift = np.rint(k * q).astype(int)
+    cfg = SolverConfig(params=PARAMS, grid=g, group=G)
+    walls = chamber_ray(G, g.M)[:3]
+    assert walls == [[1, 1, 0], [2, 1, 1], [2, 2, 1]]
+    for shift in walls:
         with pytest.raises(CollapseToZero):
-            solve(cfg, Field(u0.grid, np.roll(u0.values, shift, range(3))))
-    shift, u = initial_guess(cfg, u0)
-    assert shift != "gaussian" and np.abs(u.values).max() > 0.0
-    sol = solve(cfg, u)
-    assert sol.converged and sol.iterations <= 40  # 29 from the Gaussian start, 27 from here
+            solve(cfg, Field(g, np.roll(gaussian(g), shift, range(3))))
+    shift, u = initial_guess(cfg)
+    assert shift not in walls and np.abs(u.values).max() > 0.0
+    sol = solves24("B3")  # solved from this start
+    assert sol.converged and sol.iterations <= 30  # 29 from the Gaussian bump orbit, 21 here
+
+
+def test_initial_guess_refuses_a_grid_too_coarse_for_the_class():
+    # at M = 8 every shift of B3's ray, k = 1, 2, 3, lies on a wall
+    cfg = SolverConfig(params=PARAMS, grid=Grid(3, 8, 6.0), group=named_group("B3"))
+    with pytest.raises(CollapseToZero, match="at M = 8"):
+        initial_guess(cfg)
 
 
 def test_solver_config_validation():
@@ -388,8 +369,8 @@ def test_solve_groundstate_alpha1():
 
 
 # p != 2 and s = 1/4; each Pohozaev bound sits above the residual measured
-# here: p = 2.5 A1 3.4e-4 (106 iterations), p = 2.5 groundstate 3.7e-3
-# (12 iterations), s = 1/4 A1 3.1e-4 (45 iterations).  Coarser boxes are
+# here: p = 2.5 A1 3.4e-4 (20 iterations), p = 2.5 groundstate 3.7e-3
+# (12 iterations), s = 1/4 A1 3.1e-4 (30 iterations).  Coarser boxes are
 # under-resolved and still report converged: the p = 2.5 groundstate at
 # M = 24 splits into 13 (L = 18) or 7 (L = 12) nodal domains.
 @pytest.mark.parametrize("s, alpha, p, name, M, L, pohozaev", [
@@ -401,12 +382,19 @@ def test_solve_beyond_p2_and_s_half(s, alpha, p, name, M, L, pohozaev):
     P = ModelParams(3, s, alpha, p)
     g = Grid(3, M, L)
     G = named_group(name)
-    sol = start(SolverConfig(params=P, grid=g, group=G))
+    cfg = SolverConfig(params=P, grid=g, group=G)
+    sol = start(cfg)
     assert sol.converged
     assert nodal_domains(sol.u).count == G.order
     if not G.is_trivial():
         assert sign_on_fundamental_domain(sol.u, G)
     assert _pohozaev_residual(sol.u, P) <= pohozaev
+    # the production path, which the CLI takes, returns the same field; a
+    # saddle once started from this grid's solved groundstate here, whose
+    # artifacts left Pohozaev residuals of 2.2e-2 (p = 2.5) and 5.1e-4 (s = 1/4)
+    level = solve_level(G, cfg)
+    assert np.array_equal(level.u.values, sol.u.values)
+    assert _pohozaev_residual(level.u, P) <= pohozaev
 
 
 @pytest.fixture(scope="module")
