@@ -38,7 +38,6 @@ from .solver import (
     SolverConfig,
     initial_guess,
     solve,
-    symmetrize,
 )
 from .spectral import (
     Field,
@@ -89,7 +88,6 @@ __all__ = [
     "sign_on_fundamental_domain",
     "solve",
     "solve_level",
-    "symmetrize",
     "write_field",
     "write_report",
 ]

@@ -178,24 +178,16 @@ class CoxeterGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def fingerprint(self, n_dims: int | None = None) -> bytes:
-        """Stable byte signature of the element set (cache key material).
-
-        With n_dims the elements are first embedded to act on the first
-        `rank` of n_dims axes, so groups of different rank that act alike on
-        an n_dims-dimensional grid share one signature.
-        """
-        return _fingerprint(self.elements if n_dims is None else _embed(self.elements, n_dims))
-
     def canonical_form(self, n_dims: int):
         """(fingerprint, sigma) of the least conjugate sigma G sigma^T.
 
-        sigma runs over the signed permutations of n_dims axes, the grid's
-        own symmetries, and the least conjugate is the one with the
-        lexicographically smallest fingerprint(n_dims); sigma is the first
-        one attaining it.  Two groups share the fingerprint exactly when
-        they are conjugate by a signed permutation, G = S^T G0 S with
-        S = sigma0^T sigma.
+        A fingerprint is the sorted bytes of an element set embedded in
+        n_dims axes (_fingerprint).  sigma runs over the signed permutations
+        of n_dims axes, the grid's own symmetries, and the least conjugate
+        is the one with the lexicographically smallest fingerprint; sigma is
+        the first one attaining it.  Two groups share the fingerprint
+        exactly when they are conjugate by a signed permutation,
+        G = S^T G0 S with S = sigma0^T sigma.
         """
         sigmas = _signed_permutations(n_dims)[:, None]
         conj = sigmas @ _embed(self.elements, n_dims)[None] @ sigmas.transpose(0, 1, 3, 2)

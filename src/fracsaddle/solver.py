@@ -12,6 +12,11 @@ Lattice nodes fixed by an orientation-reversing element (reflection walls,
 including the periodic identification of the -L/2 faces) can only carry the
 value 0 and are pinned there.
 
+The tables are not cached: initial_guess builds the class action for its
+start scan and solve builds its own for the descent, so an action and its
+order x M^N int64 tables (42.5 MB for B3 at 48^3) are freed when the call
+returns.
+
 Every class starts from one Gaussian (initial_guess): centred for the
 trivial class, and otherwise rolled by whole nodes into the chamber and
 projected, so the start too moves on the lattice and never interpolates.
@@ -28,7 +33,7 @@ from .energy import nehari_energy
 # solve never calls energy(); perfbench/test_perfbench.py names this binding
 from .energy import energy as energy_of
 from .params import ModelParams, admissible
-from .spectral import _LRU, Field, Grid, _irfftn_in_place
+from .spectral import Field, Grid, _irfftn_in_place
 # solve never calls fftn or ifftn; perfbench/test_perfbench.py names these bindings
 from .spectral import fftn, ifftn
 
@@ -102,7 +107,8 @@ class GroupAction:
     """Precomputed index machinery for one (grid, group) pair.
 
     tables[i][j] = flat index of g_i^{-1} x_j, so a gather along tables[i]
-    evaluates u(g_i^{-1} x) = (g_i . u)(x).
+    evaluates u(g_i^{-1} x) = (g_i . u)(x).  Nothing in the package keeps an
+    action: one lives for one start scan (initial_guess) or one solve.
     """
 
     def __init__(self, grid: Grid, group: CoxeterGroup):
@@ -150,30 +156,6 @@ class GroupAction:
         return out.reshape(values.shape)
 
 
-# An energy table over trivial, A1, A1xA1 and B2 builds 4 distinct actions.
-_action_cache = _LRU(8)
-
-
-def get_action(grid: Grid, group: CoxeterGroup) -> GroupAction:
-    """The cached action of group's element set embedded into grid's axes.
-
-    Groups of any rank that act alike on the grid share one action.  Its rows
-    follow the element order of the group that built it, so index
-    action.tables with action.signs, not with another group's element order.
-    Conjugate groups have other tables and are keyed apart.
-    """
-    return _action_cache.lookup(
-        (grid, group.fingerprint(grid.N_dims)), lambda: GroupAction(grid, group)
-    )
-
-
-def symmetrize(u: Field, G: CoxeterGroup) -> Field:
-    """Project onto the class {u : u(g x) = phi(g) u(x)}."""
-    if G.is_trivial():
-        return u.copy()
-    return Field(u.grid, get_action(u.grid, G).project(u.values))
-
-
 # ---------------------------------------------------------------------------
 # Initial guess
 # ---------------------------------------------------------------------------
@@ -195,13 +177,14 @@ def initial_guess(config: SolverConfig):
     gauss = np.exp(-grid.radius() ** 2 / (grid.L / 8.0) ** 2)
     if G.is_trivial():
         return "gaussian", Field(grid, gauss)
+    action = GroupAction(grid, G)
     q = G.chamber().interior_point()
     direction = np.zeros(grid.N_dims)
     direction[: G.rank] = q / np.linalg.norm(q)
     start, best, E_best = None, None, np.inf
     shifts = np.rint(np.arange(1, grid.M // 2)[:, None] * direction).astype(np.int64).tolist()
     for shift in dict.fromkeys(map(tuple, shifts)):  # distinct, in order
-        cand = symmetrize(Field(grid, np.roll(gauss, shift, range(grid.N_dims))), G)
+        cand = Field(grid, action.project(np.roll(gauss, shift, range(grid.N_dims))))
         if np.sqrt(grid.cellvol * np.sum(cand.values**2)) < _ZERO_TOL:
             continue
         E = nehari_energy(cand, config.params)
@@ -255,7 +238,7 @@ def solve(config: SolverConfig, initial: Field) -> Solution:
     t_start = time.perf_counter()
     params, grid = config.params, config.grid
     p = params.p
-    action = None if config.group.is_trivial() else get_action(grid, config.group)
+    action = None if config.group.is_trivial() else GroupAction(grid, config.group)
 
     def project(vals):
         return vals if action is None else action.project(vals)

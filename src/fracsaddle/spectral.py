@@ -31,7 +31,7 @@ statements for the convolution hold on fields that vanish at those faces
 (every decaying solution does).
 """
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -208,27 +208,6 @@ def l2_norm_sq(u: Field) -> float:
 # Riesz kernel and convolution
 # ---------------------------------------------------------------------------
 
-class _LRU:
-    """At most `size` built entries; a miss past that drops the least recently used."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.entries = OrderedDict()
-
-    def lookup(self, key, build):
-        """The entry for key, made by build() on a miss."""
-        if key in self.entries:
-            self.entries.move_to_end(key)
-        else:
-            self.entries[key] = build()
-            if len(self.entries) > self.size:
-                self.entries.popitem(last=False)
-        return self.entries[key]
-
-
-# A run uses one (grid, alpha); the tests cycle through a few.
-_kernel_cache = _LRU(4)
-
 # The padded spectrum is transformed in slabs of last-axis bins of at most
 # this many bytes (at least one bin).  1 MiB is half the 2 MB L2 cache of
 # the host in perfbench's provenance, so a slab and its kernel block stay there together through the
@@ -299,6 +278,8 @@ def _kernel_octant(grid: Grid, alpha: float) -> np.ndarray:
     return khat
 
 
+# A run uses one (grid, alpha); the tests cycle through a few.
+@functools.lru_cache(maxsize=4)
 def _kernel_transform(grid: Grid, alpha: float) -> tuple:
     """Cached kernel transform for (grid, alpha), one block per slab.
 
@@ -311,15 +292,12 @@ def _kernel_transform(grid: Grid, alpha: float) -> tuple:
     Mirrored out, it runs over long contiguous rows, and only the outer
     leading axes need mirrored views (_times_kernel).
     """
-    def build():
-        N, M = grid.N_dims, grid.M
-        width = min(M + 1, max(1, _SLAB_BYTES // (16 * (2 * M) ** (N - 1))))
-        khat = _kernel_octant(grid, alpha)
-        if N > 1:
-            khat = khat.take(_mirror(M), axis=N - 2)
-        return tuple(np.ascontiguousarray(khat[..., b : b + width]) for b in range(0, M + 1, width))
-
-    return _kernel_cache.lookup((grid, round(alpha, 12)), build)
+    N, M = grid.N_dims, grid.M
+    width = min(M + 1, max(1, _SLAB_BYTES // (16 * (2 * M) ** (N - 1))))
+    khat = _kernel_octant(grid, alpha)
+    if N > 1:
+        khat = khat.take(_mirror(M), axis=N - 2)
+    return tuple(np.ascontiguousarray(khat[..., b : b + width]) for b in range(0, M + 1, width))
 
 
 def _times_kernel(spec: np.ndarray, kblock: np.ndarray, M: int, ax: int = 0) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from fracsaddle.coxeter import CoxeterGroup
 from fracsaddle.extension import YGrid, _cell_weights, default_y_max, psi_profile
 from fracsaddle.params import extension_constant
-from fracsaddle.solver import get_action
+from fracsaddle.solver import GroupAction
 from fracsaddle.spectral import Field, Grid, fftn, half_parseval_sum, irfftn, rfftn, seminorm_sq
 
 
@@ -118,7 +118,7 @@ def extend_symmetry_check(u: Field, G: CoxeterGroup, s: float, ygrid=None) -> bo
     grid = u.grid
     if ygrid is None:
         ygrid = YGrid.graded(64, default_y_max(grid))
-    action = get_action(grid, G)
+    action = GroupAction(grid, G)
     for v in _harmonic_slices(u, s, ygrid):
         flat = v.ravel()
         scale = max(1.0, float(np.abs(flat).max()))

@@ -17,13 +17,7 @@ from fracsaddle.coxeter import named_group
 from fracsaddle.energy import energy, gradient, interaction, nehari_energy
 from fracsaddle.extension import YGrid, default_y_max, energy_identity_check, psi_profile
 from fracsaddle.params import ModelParams
-from fracsaddle.solver import (
-    SolverConfig,
-    get_action,
-    initial_guess,
-    solve,
-    symmetrize,
-)
+from fracsaddle.solver import GroupAction, SolverConfig, initial_guess, solve
 from fracsaddle.spectral import (
     Field,
     Grid,
@@ -163,12 +157,11 @@ def test_criterion_05_bitwise_symmetrization():
     rng = np.random.default_rng(5)
     for name in GROUPS:
         G = named_group(name)
-        action = get_action(g, G)
-        u = Field(g, rng.standard_normal(g.shape))
-        once = symmetrize(u, G)
-        twice = symmetrize(once, G)
-        assert np.array_equal(once.values, twice.values), f"{name}: not idempotent"
-        flat = once.values.ravel()
+        action = GroupAction(g, G)
+        once = action.project(rng.standard_normal(g.shape))
+        twice = action.project(once)
+        assert np.array_equal(once, twice), f"{name}: not idempotent"
+        flat = once.ravel()
         for i in range(G.order):
             assert np.array_equal(flat[action.tables[i]], action.signs[i] * flat), (
                 f"{name}: element {i} not equivariant"
@@ -218,7 +211,7 @@ def test_criterion_07_odd_saddle(grid48, groundstate48, saddle_a1_48, level_cach
         rng = np.random.default_rng(seed)
         noise = ifftn(fftn(rng.standard_normal(grid48.shape)) * np.exp(-0.5 * freq_norm_sq(grid48))).real
         bumped = u0.values + 0.05 * np.abs(u0.values).max() * noise
-        pert = symmetrize(Field(grid48, bumped), G)
+        pert = Field(grid48, GroupAction(grid48, G).project(bumped))
         energies.append(solve(cfg, pert).energy)
     spread = (max(energies) - min(energies)) / cA1
     assert spread <= 0.01, f"seed spread {spread:.3e}"

@@ -8,7 +8,7 @@ from scipy.special import kve
 from fracsaddle import extension, spectral
 from fracsaddle.coxeter import named_group
 from fracsaddle.extension import YGrid, default_y_max, energy_identity_check, psi_profile
-from fracsaddle.solver import symmetrize
+from fracsaddle.solver import GroupAction
 from fracsaddle.spectral import Field, Grid, fftn, ifftn, irfftn, seminorm_sq
 
 from extension_reference import (
@@ -206,7 +206,8 @@ def test_energy_identity_cost_shape(J, monkeypatch, rng):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(extension, "fftn", counted("transforms", extension.fftn))
+    for name in ("fftn", "rfftn"):
+        monkeypatch.setattr(extension, name, counted("transforms", getattr(extension, name)))
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(spectral, name, counted("transforms", getattr(spectral, name)))
     monkeypatch.setattr(extension, "psi_profile", counted("psi_profile", extension.psi_profile))
@@ -238,7 +239,7 @@ def test_extend_symmetry_check():
     g = Grid(3, 12, 8.0)
     G = named_group("A1")
     rng = np.random.default_rng(5)
-    u = symmetrize(smooth_field(g, rng), G)
+    u = Field(g, GroupAction(g, G).project(smooth_field(g, rng).values))
     assert np.abs(u.values).max() > 0.0
     yg = YGrid.graded(64, default_y_max(g))
     assert extend_symmetry_check(u, G, 0.5, yg)

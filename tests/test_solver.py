@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,10 +23,8 @@ from fracsaddle.solver import (
     CollapseToZero,
     GroupAction,
     SolverConfig,
-    get_action,
     initial_guess,
     solve,
-    symmetrize,
 )
 from fracsaddle.spectral import (
     Field,
@@ -105,18 +104,17 @@ def test_action_table_swap_2d(rng):
 def test_symmetrize_idempotent_bitwise(name, rng):
     g = Grid(3, 8, 4.0)
     G = named_group(name)
-    u = Field(g, rng.standard_normal(g.shape))
-    once = symmetrize(u, G)
-    twice = symmetrize(once, G)
-    assert np.array_equal(once.values, twice.values)
+    project = GroupAction(g, G).project
+    once = project(rng.standard_normal(g.shape))
+    assert np.array_equal(project(once), once)
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_symmetrize_equivariant_bitwise(name, rng):
     g = Grid(3, 8, 4.0)
     G = named_group(name)
-    action = get_action(g, G)
-    flat = symmetrize(Field(g, rng.standard_normal(g.shape)), G).values.ravel()
+    action = GroupAction(g, G)
+    flat = action.project(rng.standard_normal(g.shape)).ravel()
     for i in range(G.order):
         assert np.array_equal(flat[action.tables[i]], action.signs[i] * flat)
 
@@ -125,25 +123,25 @@ def test_symmetrize_kills_even_part():
     g = Grid(3, 8, 4.0)
     x = g.coords()
     even = np.cos(2.0 * np.pi * x[0] / g.L) + x[1] * 0.0 + x[2] * 0.0
-    out = symmetrize(Field(g, np.broadcast_to(even, g.shape).copy()), named_group("A1"))
-    assert np.all(out.values == 0.0)
+    out = GroupAction(g, named_group("A1")).project(np.broadcast_to(even, g.shape).copy())
+    assert np.all(out == 0.0)
 
 
 def test_symmetrize_trivial_group_returns_a_copy(rng):
     # the class of the trivial group is every field; the result is still a
     # new array, so writing to it leaves the input alone
     g = Grid(3, 8, 4.0)
-    u = Field(g, rng.standard_normal(g.shape))
-    out = symmetrize(u, named_group("trivial"))
-    assert np.array_equal(out.values, u.values)
-    assert not np.shares_memory(out.values, u.values)
+    u = rng.standard_normal(g.shape)
+    out = GroupAction(g, named_group("trivial")).project(u)
+    assert np.array_equal(out, u)
+    assert not np.shares_memory(out, u)
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_symmetrize_vanishes_on_walls(name, rng):
     g = Grid(3, 8, 4.0)
     G = named_group(name)
-    out = symmetrize(Field(g, rng.standard_normal(g.shape)), G).values
+    out = GroupAction(g, G).project(rng.standard_normal(g.shape))
     C = G.chamber()
     coords = np.stack(np.meshgrid(*([g.axis_nodes()] * 3), indexing="ij"), axis=-1)
     on_wall = np.zeros(g.shape, dtype=bool)
@@ -177,7 +175,7 @@ def test_init_saddle_rank1_geometry():
     shift, u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))
     assert shift == [2, 0, 0]
     vals = u.values
-    action = get_action(g, G)
+    action = GroupAction(g, G)
     flat = vals.ravel()
     assert np.array_equal(flat[action.tables[1]], -flat)
     k0 = g.M // 2  # node at x1 = 0
@@ -191,7 +189,7 @@ def test_init_saddle_symmetry_all_groups(name):
     g = Grid(3, 16, 12.0)
     G = named_group(name)
     u = initial_guess(SolverConfig(params=PARAMS, grid=g, group=G))[1]
-    action = get_action(g, G)
+    action = GroupAction(g, G)
     flat = u.values.ravel()
     for i in range(G.order):
         assert np.array_equal(flat[action.tables[i]], action.signs[i] * flat)
@@ -209,7 +207,7 @@ def test_init_saddle_collapses_below_grid_scale():
 
 
 @pytest.mark.parametrize("name", ["trivial", *GROUPS])
-def test_initial_guess_without_groundstate_is_the_gaussian_start(name):
+def test_initial_guess_rebuilds_the_documented_start(name):
     # the documented start, rebuilt: the Gaussian itself for the trivial
     # class, else the Gaussian rolled by the whole nodes rint(k q) of its
     # label, on the chamber ray, and projected onto the class
@@ -221,12 +219,12 @@ def test_initial_guess_without_groundstate_is_the_gaussian_start(name):
         assert np.array_equal(u.values, gaussian(g))
         return
     assert label in chamber_ray(G, g.M)
-    want = symmetrize(Field(g, np.roll(gaussian(g), label, range(3))), G)
-    assert np.array_equal(u.values, want.values)
+    want = GroupAction(g, G).project(np.roll(gaussian(g), label, range(3)))
+    assert np.array_equal(u.values, want)
 
 
 @pytest.mark.parametrize("name", GROUPS)
-def test_initial_guess_from_groundstate(name):
+def test_initial_guess_is_least_on_the_chamber_ray(name):
     # the start is the trivial class's Gaussian moved along the chamber ray:
     # bitwise in its class, the same on every call, and of least Nehari
     # energy among the shifts the scan looks at, those up to the first rise
@@ -234,12 +232,13 @@ def test_initial_guess_from_groundstate(name):
     G = named_group(name)
     cfg = SolverConfig(params=PARAMS, grid=g, group=G)
     label, u = initial_guess(cfg)
-    assert np.array_equal(symmetrize(u, G).values, u.values)
+    project = GroupAction(g, G).project
+    assert np.array_equal(project(u.values), u.values)
     again = initial_guess(cfg)
     assert again[0] == label and np.array_equal(again[1].values, u.values)
     energies = []
     for shift in chamber_ray(G, g.M):
-        cand = symmetrize(Field(g, np.roll(gaussian(g), shift, range(3))), G)
+        cand = Field(g, project(np.roll(gaussian(g), shift, range(3))))
         if l2_norm_sq(cand) < 1e-20:  # on a wall
             continue
         energies.append(nehari_energy(cand, PARAMS))
@@ -331,20 +330,35 @@ def test_solve_residual_at_iteration_cap():
 
 
 def test_caches_are_bounded_lru():
-    A1 = named_group("A1")
-    for cache, fetch in (
-        (spectral._kernel_cache, lambda g: spectral._kernel_transform(g, 0.5)),
-        (solver._action_cache, lambda g: get_action(g, A1)),
-    ):
-        n = cache.size
-        grids = [Grid(1, 8 + 2 * k, 4.0) for k in range(n + 1)]
-        built = [fetch(g) for g in grids[:n]]
-        assert fetch(grids[0]) is built[0]  # a hit makes grids[0] the newest
-        fetch(grids[n])  # one past the bound drops grids[1], the oldest
-        assert len(cache.entries) == n
-        assert fetch(grids[0]) is built[0]
-        assert fetch(grids[n - 1]) is built[n - 1]
-        assert fetch(grids[1]) is not built[1]
+    # the kernel transform is the package's one cache; the group action is
+    # built per call and kept by nothing (test_no_action_outlives_solve_level)
+    fetch = spectral._kernel_transform
+    n = fetch.cache_info().maxsize
+    grids = [Grid(1, 8 + 2 * k, 4.0) for k in range(n + 1)]
+    built = [fetch(g, 0.5) for g in grids[:n]]
+    assert fetch(grids[0], 0.5) is built[0]  # a hit makes grids[0] the newest
+    fetch(grids[n], 0.5)  # one past the bound drops grids[1], the oldest
+    assert fetch.cache_info().currsize == n
+    assert fetch(grids[0], 0.5) is built[0]
+    assert fetch(grids[n - 1], 0.5) is built[n - 1]
+    assert fetch(grids[1], 0.5) is not built[1]
+
+
+def test_no_action_outlives_solve_level(monkeypatch):
+    # each order x M^N action table is freed with the call that built it
+    refs = []
+    init = GroupAction.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(GroupAction, "__init__", recording)
+    G = named_group("B2")
+    sol = solve_level(G, SolverConfig(params=PARAMS, grid=Grid(3, 16, 10.0), group=G))
+    assert sol.converged
+    assert all(ref() is None for ref in refs)
+    assert len(refs) == 2  # the start scan's and the solve's
 
 
 def _pohozaev_residual(u, P):
@@ -495,7 +509,7 @@ def test_solve_saddle_smoke():
     sol = start(cfg)
     assert sol.converged
     # stays in the odd class, bitwise
-    action = get_action(g, G)
+    action = GroupAction(g, G)
     flat = sol.u.values.ravel()
     assert np.array_equal(flat[action.tables[1]], -flat)
     # costs more than the free minimum
@@ -536,7 +550,7 @@ def test_spectral_residual_and_plain_image_match_real_space(kind, rng):
         noise = rng.standard_normal(g.shape)
         u = Field(g, irfftn(rfftn(noise) * np.exp(-0.3 * g.half_freq_norm_sq()), g.shape))
         if G is not None:
-            u = symmetrize(u, G)
+            u = Field(g, GroupAction(g, G).project(u.values))
         ev, _ = _evaluate_field(u, PARAMS)
         u = Field(g, _nehari_factor(ev.Q, ev.D, PARAMS.p) * u.values)
     ev, mult = _evaluate_field(u, PARAMS)
@@ -549,7 +563,7 @@ def test_spectral_residual_and_plain_image_match_real_space(kind, rng):
     # eps ||u||: at a converged field (residual ~1e-6) that floor is the
     # absolute term, not the relative one
     assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
-    project = (lambda v: v) if G is None else get_action(g, G).project
+    project = (lambda v: v) if G is None else GroupAction(g, G).project
     w = project(irfftn(fhat / (1.0 + mult), g.shape))
     old = project(u.values - ifftn(fftn(grad) / (1.0 + full)).real)
     assert np.abs(w - old).max() <= 1e-13 * np.abs(old).max()
@@ -597,7 +611,7 @@ def test_solve_evaluates_class_members_only(name, monkeypatch):
     # signed images of each node
     g = Grid(3, 16, 10.0)
     G = named_group(name)
-    action = get_action(g, G)
+    action = GroupAction(g, G)
     evaluate = solver._evaluate
     in_class = []
 

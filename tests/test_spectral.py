@@ -297,10 +297,18 @@ def test_convolution_matches_full_pad(N, alpha, rng):
     assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.fixture
+def kernels_rebuilt():
+    """Empties the kernel cache after a test that builds kernels under a
+    patched _SLAB_BYTES, so no later test gets their blocks."""
+    yield
+    spectral._kernel_transform.cache_clear()
+
+
 @pytest.mark.parametrize(
     "N, alpha", [(N, a) for N in (1, 2, 3) for a in (0.5, 1.0, 1.5, 2.0, 2.5) if a < N]
 )
-def test_kernel_octant_matches_full_transform(N, alpha, monkeypatch):
+def test_kernel_octant_matches_full_transform(N, alpha, monkeypatch, kernels_rebuilt):
     # the per-axis DCT-I of the octant against the rfftn of the whole (2M)^N
     # kernel: bins 0..M of every axis.  The stored blocks side by side are
     # bins 0..M of the outer leading axes and every bin of the axis next to
@@ -314,37 +322,37 @@ def test_kernel_octant_matches_full_transform(N, alpha, monkeypatch):
     want = full[(slice(0, g.M + 1),) * max(N - 2, 0)]
     for budget in (spectral._SLAB_BYTES, 3 * 16 * (2 * g.M) ** (N - 1)):
         monkeypatch.setattr(spectral, "_SLAB_BYTES", budget)
-        monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+        spectral._kernel_transform.cache_clear()
         stored = np.concatenate(spectral._kernel_transform(g, alpha), axis=-1)
         assert np.abs(stored - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_kernel_cache_keeps_one_mirrored_axis(monkeypatch):
+def test_kernel_cache_keeps_one_mirrored_axis():
     # 24^3 is one slab, and its kernel is the octant mirrored out along the
     # axis next to the last only: 25 x 48 x 25 doubles
     g = Grid(3, 24, 18.0)
-    monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+    spectral._kernel_transform.cache_clear()
     blocks = spectral._kernel_transform(g, 2.0)
     assert sum(b.nbytes for b in blocks) == 25 * 48 * 25 * 8
 
 
 @pytest.mark.parametrize("N, M, alpha", [(1, 16, 0.5), (2, 16, 1.0), (3, 12, 2.0), (3, 16, 0.5)])
-def test_convolution_slabs_match_one_slab(N, M, alpha, rng, monkeypatch):
+def test_convolution_slabs_match_one_slab(N, M, alpha, rng, monkeypatch, kernels_rebuilt):
     # a budget of one or three last-axis bins forces many slabs, with a
     # shorter last slab for three; every bin sees the same arithmetic
     g = Grid(N, M, 8.0)
     f = Field(g, rng.standard_normal(g.shape))
-    monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+    spectral._kernel_transform.cache_clear()
     one = riesz_convolve(f, alpha).values
     assert len(spectral._kernel_transform(g, alpha)) == 1
     for width in (1, 3):
         monkeypatch.setattr(spectral, "_SLAB_BYTES", width * 16 * (2 * M) ** (N - 1))
-        monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+        spectral._kernel_transform.cache_clear()
         assert len(spectral._kernel_transform(g, alpha)) == -(-(M + 1) // width)
         assert np.array_equal(riesz_convolve(f, alpha).values, one)
 
 
-def test_convolution_working_set(monkeypatch):
+def test_convolution_working_set():
     # traced peaks at 48^3: 21.4 MB for a first kernel build and 9.95 MB for
     # one convolution when the whole (2M)^N kernel and padded spectrum were
     # built; 5.74 and 4.53 MB with the octant and 1 MiB slabs; 5.61 and
@@ -352,7 +360,7 @@ def test_convolution_working_set(monkeypatch):
     # straight into the result.  The bounds leave about 16% and 10%.
     g = Grid(3, 48, 24.0)
     f = Field(g, np.ones(g.shape))
-    monkeypatch.setattr(spectral, "_kernel_cache", spectral._LRU(4))
+    spectral._kernel_transform.cache_clear()
     tracemalloc.start()
     try:
         spectral._kernel_transform(g, 2.0)
